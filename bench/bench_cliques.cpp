@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "count/clique.hpp"
 #include "count/clique_camelot.hpp"
 #include "field/primes.hpp"
@@ -47,8 +47,7 @@ int main() {
     ClusterConfig cfg;
     cfg.num_nodes = 8;
     cfg.redundancy = 1.3;
-    Cluster cluster(cfg);
-    RunReport report = cluster.run(problem);
+    RunReport report = ProofSession(problem, cfg).run();
     double node_max = 0;
     for (const auto& ns : report.node_stats) {
       node_max = std::max(node_max, ns.seconds);

@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "count/triangle_camelot.hpp"
 #include "graph/brute.hpp"
 #include "graph/generators.hpp"
@@ -21,7 +21,6 @@ int main() {
   ClusterConfig cfg;
   cfg.num_nodes = 15;
   cfg.redundancy = 2.0;  // radius ~ (e - d - 1)/2 ~ (d+1)/2 symbols
-  Cluster cluster(cfg);
 
   std::printf("%8s %10s %10s %12s %14s %10s\n", "corrupt", "decoded",
               "verified", "answer-ok", "identified", "outcome");
@@ -30,7 +29,7 @@ int main() {
     std::iota(corrupt.begin(), corrupt.end(), std::size_t{0});
     ByzantineAdversary adversary(corrupt, ByzantineStrategy::kRandom,
                                  faults * 31 + 7);
-    RunReport report = cluster.run(problem, &adversary);
+    RunReport report = ProofSession(problem, cfg).run(&adversary);
     bool decoded = true, verified = true;
     for (const auto& pr : report.per_prime) {
       decoded = decoded && pr.decode_status == DecodeStatus::kOk;

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "count/ayz.hpp"
 #include "count/triangle.hpp"
 #include "count/triangle_camelot.hpp"
@@ -47,8 +47,7 @@ int main() {
     ClusterConfig cfg;
     cfg.num_nodes = 8;
     cfg.redundancy = 1.4;
-    Cluster cluster(cfg);
-    RunReport report = cluster.run(problem);
+    RunReport report = ProofSession(problem, cfg).run();
     const bool ok =
         report.success &&
         TriangleCountProblem::triangles_from_answer(report.answers[0])

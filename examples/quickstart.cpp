@@ -29,9 +29,9 @@ int main() {
   config.num_nodes = 8;      // Knights around the table
   config.redundancy = 1.5;   // codeword length e ~ 1.5 (d+1)
 
-  // The staged pipeline, one stage per paper step. (The legacy
-  // one-shot `Cluster(config).run(problem)` still works and does
-  // exactly this internally.)
+  // The staged pipeline, one stage per paper step. (The one-shot
+  // `ProofSession(problem, config).run()` reaches the same report with
+  // the stages overlapped across primes.)
   ProofSession session(problem, config);
   session.prepare();    // step 1: per-node symbol chunks
   session.transport();  // broadcast bus (lossless here)

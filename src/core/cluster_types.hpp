@@ -1,6 +1,6 @@
-// Shared configuration and report types of the Round Table pipeline,
-// used by both the staged ProofSession API and the legacy Cluster
-// facade (which is a thin shim over a one-shot session).
+// Configuration and report types of the Round Table pipeline: a
+// simulated cluster of K equally capable nodes jointly preparing a
+// Camelot proof (paper §1.3 steps 1-3), driven by ProofSession.
 #pragma once
 
 #include <cstddef>
@@ -60,6 +60,13 @@ struct ClusterConfig {
   // purely-corrupting transports, which never deliver short.
   std::size_t repair_budget = 3;
 };
+
+// Node that owns codeword symbol `i` of a length-e codeword split into
+// contiguous balanced chunks: node j owns [j*e/K, (j+1)*e/K).
+inline std::size_t symbol_owner(std::size_t i, std::size_t e,
+                                std::size_t num_nodes) {
+  return (i * num_nodes) / e;
+}
 
 struct NodeStats {
   std::size_t node_id = 0;

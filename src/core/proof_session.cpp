@@ -4,12 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "core/arena.hpp"
-#include "core/cluster.hpp"
 #include "core/rng.hpp"
 #include "core/verifier.hpp"
 #include "field/crt.hpp"
@@ -68,22 +69,45 @@ class FirstError {
   std::atomic<bool> failed_{false};
 };
 
+// Runs body(t) for every t in [0, tasks) on min(config threads, tasks)
+// workers claiming tasks in order (inline on the calling thread when
+// that is one), then rethrows the first exception any task raised. A
+// failed task stops the other workers at their next claim.
+template <class Body>
+void run_pool(const ClusterConfig& config, std::size_t tasks, Body&& body) {
+  unsigned threads = config.num_threads != 0
+                         ? config.num_threads
+                         : std::max(1u, std::thread::hardware_concurrency());
+  threads = static_cast<unsigned>(std::min<std::size_t>(threads, tasks));
+  std::atomic<std::size_t> next{0};
+  FirstError errors;
+  auto worker = [&]() {
+    // Each pool thread binds its own arena (the thread-local
+    // process_local() when no service worker arena is bound), so the
+    // chunks' scratch never contends across threads.
+    ArenaScope arena_scope(stage_arena(config.use_arena));
+    try {
+      while (!errors.failed()) {
+        const std::size_t t = next.fetch_add(1);
+        if (t >= tasks) break;
+        body(t);
+      }
+    } catch (...) {
+      errors.capture();
+    }
+  };
+  if (threads <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
+  }
+  errors.rethrow_if_any();
+}
+
 }  // namespace
-
-std::vector<u64> LosslessChannel::deliver(std::span<const u64> sent,
-                                          std::span<const std::size_t>,
-                                          std::span<const u64>,
-                                          const PrimeField&, u64) const {
-  return {sent.begin(), sent.end()};
-}
-
-std::vector<u64> AdversarialChannel::deliver(
-    std::span<const u64> sent, std::span<const std::size_t> owners,
-    std::span<const u64> points, const PrimeField& f, u64 stream_seed) const {
-  std::vector<u64> received(sent.begin(), sent.end());
-  adversary_.corrupt(received, owners, points, f, stream_seed);
-  return received;
-}
 
 ProofSession::ProofSession(const CamelotProblem& problem, ClusterConfig config,
                            std::shared_ptr<FieldCache> cache,
@@ -116,7 +140,7 @@ ProofSession::ProofSession(const CamelotProblem& problem, ClusterConfig config,
   const std::size_t e = plan_->code_length;
   owners_.resize(e);
   for (std::size_t i = 0; i < e; ++i) {
-    owners_[i] = Cluster::symbol_owner(i, e, config_.num_nodes);
+    owners_[i] = symbol_owner(i, e, config_.num_nodes);
   }
   node_stats_.resize(config_.num_nodes);
   for (std::size_t j = 0; j < config_.num_nodes; ++j) {
@@ -174,11 +198,37 @@ void ProofSession::invalidate_downstream(PrimeState& st,
   if (new_stage < SessionStage::kRecovered) st.report.answer_residues.clear();
 }
 
-void ProofSession::ensure_code(PrimeState& st) {
-  if (st.code != nullptr) return;
+void ProofSession::restart_prime(PrimeState& st) {
   // codes_ is never null (CodeCache::global() is the fallback), so
   // every session shares the inverse-enriched trees.
-  st.code = codes_->code(st.ops, spec_.degree_bound, plan_->code_length);
+  if (st.code == nullptr) {
+    st.code = codes_->code(st.ops, spec_.degree_bound, plan_->code_length);
+  }
+  st.sent.assign(plan_->code_length, 0);
+  st.received.clear();
+  invalidate_downstream(st, SessionStage::kCreated);
+}
+
+StreamSpec ProofSession::stream_spec(const PrimeState& st) const {
+  StreamSpec spec;
+  spec.prime = st.prime;
+  spec.code_length = plan_->code_length;
+  spec.owners = owners_;
+  spec.points = st.code->points();
+  spec.field = &st.ops.prime();
+  spec.stream_seed =
+      derive_stream(config_.seed, st.prime, PipelineStage::kTransport);
+  return spec;
+}
+
+SymbolChunk ProofSession::sent_chunk(const PrimeState& st, std::size_t node,
+                                     std::size_t lo, std::size_t hi) const {
+  SymbolChunk chunk;
+  chunk.offset = lo;
+  chunk.node = node;
+  chunk.symbols.assign(st.sent.begin() + static_cast<long>(lo),
+                       st.sent.begin() + static_cast<long>(hi));
+  return chunk;
 }
 
 std::pair<std::size_t, std::size_t> ProofSession::node_chunk(
@@ -208,28 +258,34 @@ std::size_t ProofSession::message_node_count() const {
   return count;  // >= 1: node 0 always owns symbol 0 < m
 }
 
-std::vector<u64> ProofSession::evaluate_node_range(PrimeState& st,
-                                                   std::size_t node,
-                                                   std::size_t lo,
-                                                   std::size_t hi) {
+void ProofSession::evaluate_node_range(PrimeState& st, std::size_t node,
+                                       std::size_t lo, std::size_t hi) {
   // First declaration on purpose: every scratch vector the evaluator
   // allocates below must destruct before the scope unbinds the arena.
   ArenaScope arena_scope(stage_arena(config_.use_arena));
   const auto t0 = std::chrono::steady_clock::now();
-  // Span granularity: one prepare observation per node chunk — both
-  // the barrier and the streaming pipeline evaluate through here, so
-  // the histogram is fed identically on either path.
+  // Span granularity: one prepare observation per node chunk — the
+  // staged prepare and the chunk driver both evaluate through here.
   obs::StageSpan span(stage_prepare_, obs::kTraceSched, "prepare", st.prime);
   auto evaluator = problem_.make_evaluator(st.ops);
   // One batched call for the whole range so the evaluator can
   // amortize its point-independent work.
   const std::span<const u64> chunk(st.code->points().data() + lo, hi - lo);
   std::vector<u64> values = evaluator->evaluate_points(chunk);
+  std::copy(values.begin(), values.end(),
+            st.sent.begin() + static_cast<long>(lo));
   const double secs = seconds_since(t0);
   std::lock_guard<std::mutex> lock(stats_mu_);
   node_stats_[node].symbols_computed += hi - lo;
   node_stats_[node].seconds += secs;
-  return values;
+}
+
+bool ProofSession::evaluate_message_chunk(PrimeState& st, std::size_t node) {
+  const auto [lo, hi] = node_chunk(node);
+  const std::size_t mhi = std::min(hi, message_prefix());
+  if (mhi <= lo) return false;
+  evaluate_node_range(st, node, lo, mhi);
+  return true;
 }
 
 void ProofSession::extend_parity(PrimeState& st) {
@@ -246,7 +302,7 @@ void ProofSession::extend_parity(PrimeState& st) {
             st.sent.begin() + static_cast<long>(m));
 }
 
-// ---- Stage bodies (shared by barrier staging and streaming) --------------
+// ---- Stage bodies (shared by the staged API and the chunk driver) --------
 
 void ProofSession::apply_decode(PrimeState& st, GaoResult decoded) {
   st.decoded = std::move(decoded);
@@ -298,46 +354,9 @@ void ProofSession::prepare_prime(std::size_t prime_index) {
   ArenaScope arena_scope(stage_arena(config_.use_arena));
   WallTimer wt(&wall_seconds_);
   PrimeState& st = state_at(prime_index);
-  const std::size_t e = plan_->code_length;
-  const std::size_t k = config_.num_nodes;
-  const std::size_t m = message_prefix();
-  ensure_code(st);
-  st.sent.assign(e, 0);
-  st.received.clear();
-
-  unsigned threads = config_.num_threads != 0
-                         ? config_.num_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(k));
-
-  std::atomic<std::size_t> next_node{0};
-  FirstError errors;
-  auto worker = [&]() {
-    // Each pool thread binds its own arena (the thread-local
-    // process_local() when no service worker arena is bound), so the
-    // chunks' scratch never contends across threads.
-    ArenaScope arena_scope(stage_arena(config_.use_arena));
-    try {
-      while (!errors.failed()) {
-        const std::size_t j = next_node.fetch_add(1);
-        if (j >= k) break;
-        const auto [lo, hi] = node_chunk(j);
-        const std::size_t mhi = std::min(hi, m);
-        if (mhi <= lo) continue;  // parity-only chunk: no evaluator work
-        std::vector<u64> values = evaluate_node_range(st, j, lo, mhi);
-        std::copy(values.begin(), values.end(),
-                  st.sent.begin() + static_cast<long>(lo));
-      }
-    } catch (...) {
-      errors.capture();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  errors.rethrow_if_any();
-
+  restart_prime(st);
+  run_pool(config_, config_.num_nodes,
+           [&](std::size_t j) { evaluate_message_chunk(st, j); });
   extend_parity(st);
   invalidate_downstream(st, SessionStage::kPrepared);
 }
@@ -345,18 +364,33 @@ void ProofSession::prepare_prime(std::size_t prime_index) {
 // ---- Broadcast over the (possibly adversarial) channel ------------------
 
 void ProofSession::transport_prime(std::size_t prime_index,
-                                   const SymbolChannel& channel) {
+                                   const StreamingSymbolChannel& channel) {
   WallTimer wt(&wall_seconds_);
   state_at_least(prime_index, SessionStage::kPrepared, "transport_prime");
   PrimeState& st = state_at(prime_index);
   obs::StageSpan span(stage_transport_, obs::kTraceSched, "transport",
                       st.prime);
-  st.received = channel.deliver(
-      st.sent, owners_, st.code->points(), st.ops.prime(),
-      derive_stream(config_.seed, st.prime, PipelineStage::kTransport));
-  if (st.received.size() != st.sent.size()) {
-    throw std::logic_error("SymbolChannel: received length mismatch");
+  std::unique_ptr<SymbolStream> stream = channel.open(stream_spec(st));
+  for (std::size_t j = 0; j < config_.num_nodes; ++j) {
+    const auto [lo, hi] = node_chunk(j);
+    stream->push(sent_chunk(st, j, lo, hi));
   }
+  stream->close();
+  std::vector<u64> received(st.sent.size());
+  std::size_t delivered = 0;
+  while (!stream->exhausted()) {
+    if (auto c = stream->poll()) {
+      std::copy(c->symbols.begin(), c->symbols.end(),
+                received.begin() + static_cast<long>(c->offset));
+      delivered += c->symbols.size();
+    }
+  }
+  if (delivered != received.size()) {
+    throw std::logic_error(
+        "ProofSession::transport_prime: the channel delivered short and the "
+        "staged transport has no repair");
+  }
+  st.received = std::move(received);
   invalidate_downstream(st, SessionStage::kTransported);
 }
 
@@ -407,7 +441,7 @@ ProofSession& ProofSession::prepare() {
   return *this;
 }
 
-ProofSession& ProofSession::transport(const SymbolChannel& channel) {
+ProofSession& ProofSession::transport(const StreamingSymbolChannel& channel) {
   for (std::size_t pi = 0; pi < primes_.size(); ++pi) {
     if (primes_[pi].stage == SessionStage::kPrepared) {
       transport_prime(pi, channel);
@@ -418,9 +452,9 @@ ProofSession& ProofSession::transport(const SymbolChannel& channel) {
 
 ProofSession& ProofSession::transport(const ByzantineAdversary* adversary) {
   if (adversary != nullptr) {
-    return transport(AdversarialChannel(*adversary));
+    return transport(AdversarialStreamingChannel(*adversary));
   }
-  return transport(LosslessChannel());
+  return transport(LosslessStreamingChannel());
 }
 
 ProofSession& ProofSession::decode() {
@@ -470,59 +504,43 @@ RunReport ProofSession::run_barrier(const ByzantineAdversary* adversary) {
   return report();
 }
 
-// ---- Streaming pipeline --------------------------------------------------
+// ---- The chunk driver ----------------------------------------------------
 
-std::unique_ptr<SymbolStream> ProofSession::open_prime_stream(
-    PrimeState& st, const StreamingSymbolChannel& channel) {
-  const std::size_t e = plan_->code_length;
-  ensure_code(st);
-  st.sent.assign(e, 0);
-  st.received.clear();
-  invalidate_downstream(st, SessionStage::kCreated);
-  StreamSpec spec;
-  spec.prime = st.prime;
-  spec.code_length = e;
-  spec.owners = owners_;
-  spec.points = st.code->points();
-  spec.field = &st.ops.prime();
-  spec.stream_seed =
-      derive_stream(config_.seed, st.prime, PipelineStage::kTransport);
-  return channel.open(spec);
+void ProofSession::drain_stream(PrimeState& st, SymbolStream& stream,
+                                StreamingGaoDecoder& decoder,
+                                const SessionCancelFn& cancel,
+                                bool until_exhausted, const char* what) {
+  // A rate-limited stream releases a bounded number of symbols per
+  // poll and can hold a prime here for a long time, so the deadline
+  // is checked between absorbs.
+  while (true) {
+    if (cancel && cancel()) throw SessionCancelled();
+    if (std::optional<SymbolChunk> c = stream.poll()) {
+      obs::StageSpan span(stage_transport_, obs::kTraceSched, what, st.prime);
+      decoder.absorb(c->offset, c->symbols);
+    } else if (!until_exhausted || stream.exhausted()) {
+      return;
+    }
+  }
 }
 
-void ProofSession::finalize_prime_stream(PrimeState& st,
-                                         StreamingGaoDecoder& decoder) {
-  ArenaScope arena_scope(stage_arena(config_.use_arena));
-  if (!decoder.ready()) {
-    throw std::logic_error(
-        "StreamingSymbolChannel: stream exhausted without delivering every "
-        "symbol");
-  }
-  st.received.assign(decoder.received().begin(), decoder.received().end());
-  st.stage = SessionStage::kTransported;
-  GaoResult decoded;
-  {
-    obs::StageSpan span(stage_decode_, obs::kTraceSched, "decode", st.prime);
-    decoded = decoder.finish();
-  }
-  apply_decode(st, std::move(decoded));
-  apply_verify(st);
-  apply_recover(st);
-}
-
-ProofSession::RepairOutcome ProofSession::repair_stream_shortfall(
-    PrimeState& st, SymbolStream& stream, StreamingGaoDecoder& decoder,
-    const SessionCancelFn& cancel) {
+bool ProofSession::repair_stream(PrimeState& st, SymbolStream& stream,
+                                 StreamingGaoDecoder& decoder,
+                                 const SessionCancelFn& cancel) {
   const std::size_t m = message_prefix();
   for (std::size_t round = 1; !decoder.ready(); ++round) {
-    if (round > config_.repair_budget) return RepairOutcome::kBudgetExhausted;
+    if (round > config_.repair_budget) return false;
     if (!stream.reopen_for_repair(round)) {
       // A transport that refuses round 1 cannot lose symbols by
       // contract — the shortfall is a bug, not weather. A transport
       // that accepted earlier rounds but refuses now is out of repair
       // capacity; treat it like a spent budget.
-      return round == 1 ? RepairOutcome::kUnsupported
-                        : RepairOutcome::kBudgetExhausted;
+      if (round == 1) {
+        throw std::logic_error(
+            "StreamingSymbolChannel: stream exhausted without delivering "
+            "every symbol");
+      }
+      return false;
     }
     st.report.repair_rounds = round;
     // Missing runs, split at node boundaries: the owner of each piece
@@ -538,319 +556,135 @@ ProofSession::RepairOutcome ProofSession::repair_stream_shortfall(
         const std::size_t node = owners_[pos];
         const std::size_t end = std::min(rhi, node_chunk(node).second);
         const std::size_t mend = std::min(end, m);
-        if (pos < mend) {
-          std::vector<u64> values = evaluate_node_range(st, node, pos, mend);
-          std::copy(values.begin(), values.end(),
-                    st.sent.begin() + static_cast<long>(pos));
-        }
-        SymbolChunk chunk;
-        chunk.offset = pos;
-        chunk.node = node;
-        chunk.symbols.assign(st.sent.begin() + static_cast<long>(pos),
-                             st.sent.begin() + static_cast<long>(end));
-        stream.push(std::move(chunk));
+        if (pos < mend) evaluate_node_range(st, node, pos, mend);
+        stream.push(sent_chunk(st, node, pos, end));
         st.report.repaired_symbols += end - pos;
         pos = end;
       }
     }
     stream.close();
-    while (!stream.exhausted()) {
-      if (cancel && cancel()) throw SessionCancelled();
-      if (auto c = stream.poll()) {
-        obs::StageSpan span(stage_transport_, obs::kTraceSched, "repair",
-                            st.prime);
-        decoder.absorb(c->offset, c->symbols);
-      }
-    }
+    drain_stream(st, stream, decoder, cancel, /*until_exhausted=*/true,
+                 "repair");
   }
-  return RepairOutcome::kRepaired;
+  return true;
 }
 
-void ProofSession::fail_prime_stream(PrimeState& st) {
-  // The received word stays empty — there is no complete word to
-  // expose — but the pipeline still runs to kRecovered so report()
-  // and complete() see a settled (failed) prime, exactly like a
-  // beyond-radius decode.
-  st.received.clear();
+void ProofSession::settle_prime(PrimeState& st,
+                                const StreamingGaoDecoder& decoder,
+                                bool delivered) {
+  ArenaScope arena_scope(stage_arena(config_.use_arena));
   st.stage = SessionStage::kTransported;
-  apply_decode(st, GaoResult{});
+  if (delivered) {
+    st.received.assign(decoder.received().begin(), decoder.received().end());
+    GaoResult decoded;
+    {
+      obs::StageSpan span(stage_decode_, obs::kTraceSched, "decode", st.prime);
+      decoded = decoder.finish();
+    }
+    apply_decode(st, std::move(decoded));
+  } else {
+    // The received word stays empty — there is no complete word to
+    // expose — but the prime still runs to kRecovered so report() sees
+    // a settled (failed) prime, exactly like a beyond-radius decode.
+    apply_decode(st, GaoResult{});
+  }
   apply_verify(st);
   apply_recover(st);
 }
 
-void ProofSession::run_prime_streaming(std::size_t prime_index,
-                                       const StreamingSymbolChannel& channel,
-                                       const SessionCancelFn& cancel) {
-  // The decoder's received-word buffers live in this scope's arena;
-  // the decoder is a local below, so it destructs before the scope.
-  ArenaScope arena_scope(stage_arena(config_.use_arena));
-  WallTimer wt(&wall_seconds_);
-  PrimeState& st = state_at(prime_index);
-  const std::size_t k = config_.num_nodes;
-  const std::size_t m = message_prefix();
-  const std::size_t msg_nodes = message_node_count();
-  std::unique_ptr<SymbolStream> stream = open_prime_stream(st, channel);
-  StreamingGaoDecoder decoder(*st.code);
-  std::mutex absorb_mu;
-
-  unsigned threads = config_.num_threads != 0
-                         ? config_.num_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(k));
-
-  std::atomic<std::size_t> next_node{0};
-  std::atomic<std::size_t> nodes_done{0};
-  std::atomic<std::size_t> msg_done{0};
-  FirstError errors;
-  // Ships node j's full chunk into the stream; the caller guarantees
-  // st.sent[lo, hi) is final. Closes the stream after the k-th push
-  // and absorbs whatever became deliverable (overlap with computing
-  // workers is the point).
-  auto push_chunk = [&](std::size_t j, std::size_t lo, std::size_t hi) {
-    SymbolChunk chunk;
-    chunk.offset = lo;
-    chunk.node = j;
-    chunk.symbols.assign(st.sent.begin() + static_cast<long>(lo),
-                         st.sent.begin() + static_cast<long>(hi));
-    stream->push(std::move(chunk));
-    if (nodes_done.fetch_add(1) + 1 == k) stream->close();
-    std::lock_guard<std::mutex> lock(absorb_mu);
-    while (auto c = stream->poll()) {
-      obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
-                          st.prime);
-      decoder.absorb(c->offset, c->symbols);
-    }
-  };
-  auto worker = [&]() {
-    ArenaScope arena_scope(stage_arena(config_.use_arena));
-    try {
-      while (!errors.failed()) {
-        // Chunk boundary: an expired deadline stops this prime here
-        // instead of computing (and absorbing) the remaining chunks.
-        if (cancel && cancel()) throw SessionCancelled();
-        const std::size_t j = next_node.fetch_add(1);
-        if (j >= k) break;
-        const auto [lo, hi] = node_chunk(j);
-        const std::size_t mhi = std::min(hi, m);
-        if (mhi > lo) {
-          std::vector<u64> values = evaluate_node_range(st, j, lo, mhi);
-          std::copy(values.begin(), values.end(),
-                    st.sent.begin() + static_cast<long>(lo));
-        }
-        // Chunks that end inside the message prefix are final now;
-        // parity-bearing chunks wait for the systematic extension.
-        if (hi <= m) push_chunk(j, lo, hi);
-        if (mhi > lo && msg_done.fetch_add(1) + 1 == msg_nodes &&
-            m < plan_->code_length) {
-          // Last message sub-chunk landed: every write to
-          // st.sent[0, m) is ordered before this point by the
-          // msg_done RMW chain. Extend to the parity tail, then
-          // release the deferred chunks (deadline probes between
-          // pushes keep in-flight cancellation responsive).
-          extend_parity(st);
-          for (std::size_t jd = 0; jd < k; ++jd) {
-            const auto [dlo, dhi] = node_chunk(jd);
-            if (dhi <= m) continue;  // already pushed above
-            if (cancel && cancel()) throw SessionCancelled();
-            push_chunk(jd, dlo, dhi);
-          }
-        }
-      }
-    } catch (...) {
-      errors.capture();
-    }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  try {
-    errors.rethrow_if_any();
-
-    // Drain the tail: a rate-limited stream releases a bounded number
-    // of symbols per poll, so keep polling until it reports exhaustion
-    // — checking the deadline between absorbs (a rate-limited stream
-    // can hold a prime here for a long time).
-    while (!stream->exhausted()) {
-      if (cancel && cancel()) throw SessionCancelled();
-      if (auto c = stream->poll()) {
-        obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
-                            st.prime);
-        decoder.absorb(c->offset, c->symbols);
-      }
-    }
-    // Lossy transport: the drained stream left the decoder short.
-    // Selective repair re-pushes only the missing chunks; a spent
-    // budget settles the prime as a decode failure.
-    if (!decoder.ready() &&
-        repair_stream_shortfall(st, *stream, decoder, cancel) ==
-            RepairOutcome::kBudgetExhausted) {
-      fail_prime_stream(st);
-      return;
-    }
-  } catch (const SessionCancelled&) {
-    reset_prime(prime_index);  // leave no half-prepared stage behind
-    throw;
-  }
-  finalize_prime_stream(st, decoder);
-}
-
-RunReport ProofSession::run_streaming(const StreamingSymbolChannel& channel) {
+void ProofSession::drive(std::span<const std::size_t> prime_indices,
+                         const StreamingSymbolChannel& channel,
+                         const SessionCancelFn& cancel) {
   // Outermost declaration: the flights below hold decoders whose
   // received-word buffers live in this scope's arena, and they must
   // destruct before the binding is restored.
   ArenaScope arena_scope(stage_arena(config_.use_arena));
-  reset_for_run();
   WallTimer wt(&wall_seconds_);
   const std::size_t k = config_.num_nodes;
-  const std::size_t num_primes = primes_.size();
+  const std::size_t m = message_prefix();
+  const std::size_t msg_nodes = message_node_count();
+  const bool deferred = m < plan_->code_length;
 
   // Per-prime in-flight broadcast state.
   struct Flight {
+    PrimeState* st = nullptr;
     std::unique_ptr<SymbolStream> stream;
     std::unique_ptr<StreamingGaoDecoder> decoder;
     std::mutex mu;  // serializes poll/absorb
     std::atomic<std::size_t> nodes_done{0};
     std::atomic<std::size_t> msg_done{0};
-    std::atomic<bool> finalized{false};
   };
-  std::vector<std::unique_ptr<Flight>> flights;
-  flights.reserve(num_primes);
-  for (std::size_t pi = 0; pi < num_primes; ++pi) {
-    PrimeState& st = primes_[pi];
-    auto fl = std::make_unique<Flight>();
-    fl->stream = open_prime_stream(st, channel);
-    fl->decoder = std::make_unique<StreamingGaoDecoder>(*st.code);
-    flights.push_back(std::move(fl));
+  std::vector<Flight> flights(prime_indices.size());
+  for (std::size_t f = 0; f < flights.size(); ++f) {
+    Flight& fl = flights[f];
+    fl.st = &state_at(prime_indices[f]);
+    restart_prime(*fl.st);
+    fl.stream = channel.open(stream_spec(*fl.st));
+    fl.decoder = std::make_unique<StreamingGaoDecoder>(*fl.st->code);
   }
 
-  // Absorb what the channel will deliver now; with `to_exhaustion` the
-  // caller just closed the stream and drives out the tail. Whichever
-  // worker absorbs the last symbol wins the finalized flag and runs
-  // decode -> verify -> recover for the prime — possibly while other
-  // primes are still preparing. That overlap is the whole point.
-  auto drain = [&](std::size_t pi, bool to_exhaustion) {
-    Flight& fl = *flights[pi];
-    {
-      std::lock_guard<std::mutex> lock(fl.mu);
-      if (to_exhaustion) {
-        while (!fl.stream->exhausted()) {
-          if (auto c = fl.stream->poll()) {
-            obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
-                                primes_[pi].prime);
-            fl.decoder->absorb(c->offset, c->symbols);
-          }
-        }
-      } else {
-        while (auto c = fl.stream->poll()) {
-          obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
-                              primes_[pi].prime);
-          fl.decoder->absorb(c->offset, c->symbols);
-        }
-      }
-      // A fully-drained lossy stream leaves the decoder short: run
-      // selective repair right here (under the flight lock, while
-      // other primes keep preparing); a spent budget settles the
-      // prime as a decode failure.
-      if (to_exhaustion && !fl.decoder->ready() &&
-          repair_stream_shortfall(primes_[pi], *fl.stream, *fl.decoder,
-                                  SessionCancelFn()) ==
-              RepairOutcome::kBudgetExhausted) {
-        if (!fl.finalized.exchange(true)) fail_prime_stream(primes_[pi]);
-        return;
-      }
-      if (!fl.decoder->ready()) return;
-    }
-    if (!fl.finalized.exchange(true)) {
-      finalize_prime_stream(primes_[pi], *fl.decoder);
-    }
-  };
-
-  // Task t = (prime t/k, node t%k), claimed prime-major so early
-  // primes' streams fill (and decode) while later primes prepare.
-  std::atomic<std::size_t> next_task{0};
-  const std::size_t total_tasks = num_primes * k;
-  const std::size_t m = message_prefix();
-  const std::size_t msg_nodes = message_node_count();
-  FirstError errors;
-  // Ships node j's full chunk (final in st.sent) into prime pi's
-  // stream, closing it after the k-th push and draining.
-  auto push_chunk = [&](std::size_t pi, std::size_t j, std::size_t lo,
-                        std::size_t hi) {
-    PrimeState& st = primes_[pi];
-    Flight& fl = *flights[pi];
-    SymbolChunk chunk;
-    chunk.offset = lo;
-    chunk.node = j;
-    chunk.symbols.assign(st.sent.begin() + static_cast<long>(lo),
-                         st.sent.begin() + static_cast<long>(hi));
-    fl.stream->push(std::move(chunk));
+  // Ships node j's chunk (final in st.sent) and absorbs whatever became
+  // deliverable. The k-th push closes the stream, and the worker that
+  // made it drains the tail, repairs a shortfall and settles the prime
+  // — possibly while other primes are still preparing. That overlap is
+  // the whole point. Settling runs outside the flight lock: the stream
+  // is exhausted by then, so late absorbers find nothing to poll.
+  auto push_chunk = [&](Flight& fl, std::size_t j) {
+    if (cancel && cancel()) throw SessionCancelled();
+    const auto [lo, hi] = node_chunk(j);
+    fl.stream->push(sent_chunk(*fl.st, j, lo, hi));
     const bool last = fl.nodes_done.fetch_add(1) + 1 == k;
     if (last) fl.stream->close();
-    drain(pi, /*to_exhaustion=*/last);
+    bool delivered = false;
+    {
+      std::lock_guard<std::mutex> lock(fl.mu);
+      drain_stream(*fl.st, *fl.stream, *fl.decoder, cancel,
+                   /*until_exhausted=*/last, "absorb");
+      if (!last) return;
+      // Lossy transport: the drained stream left the decoder short,
+      // and selective repair re-pushes only the missing chunks.
+      delivered = repair_stream(*fl.st, *fl.stream, *fl.decoder, cancel);
+    }
+    settle_prime(*fl.st, *fl.decoder, delivered);
   };
-  auto worker = [&]() {
-    ArenaScope arena_scope(stage_arena(config_.use_arena));
-    try {
-      while (!errors.failed()) {
-        const std::size_t t = next_task.fetch_add(1);
-        if (t >= total_tasks) break;
-        const std::size_t pi = t / k;
-        const std::size_t j = t % k;
-        PrimeState& st = primes_[pi];
-        const auto [lo, hi] = node_chunk(j);
-        const std::size_t mhi = std::min(hi, m);
-        if (mhi > lo) {
-          std::vector<u64> values = evaluate_node_range(st, j, lo, mhi);
-          std::copy(values.begin(), values.end(),
-                    st.sent.begin() + static_cast<long>(lo));
-        }
-        // Chunks ending inside the message prefix are final; parity-
-        // bearing chunks wait for this prime's systematic extension.
-        if (hi <= m) push_chunk(pi, j, lo, hi);
-        if (mhi > lo &&
-            flights[pi]->msg_done.fetch_add(1) + 1 == msg_nodes &&
-            m < plan_->code_length) {
-          // Last message sub-chunk of prime pi landed (the msg_done
-          // RMW chain orders every st.sent[0, m) write before this):
-          // extend to the parity tail and release the deferred chunks.
-          extend_parity(st);
-          for (std::size_t jd = 0; jd < k; ++jd) {
-            const auto [dlo, dhi] = node_chunk(jd);
-            if (dhi <= m) continue;  // already pushed above
-            push_chunk(pi, jd, dlo, dhi);
-          }
+  try {
+    // Task t = (prime t/k, node t%k), claimed prime-major so early
+    // primes' streams fill (and decode) while later primes prepare.
+    run_pool(config_, flights.size() * k, [&](std::size_t t) {
+      if (cancel && cancel()) throw SessionCancelled();
+      Flight& fl = flights[t / k];
+      const std::size_t j = t % k;
+      const bool evaluated = evaluate_message_chunk(*fl.st, j);
+      // Chunks ending inside the message prefix are final now; parity-
+      // bearing chunks wait for this prime's systematic extension.
+      if (node_chunk(j).second <= m) push_chunk(fl, j);
+      if (evaluated && deferred && fl.msg_done.fetch_add(1) + 1 == msg_nodes) {
+        // Last message sub-chunk of this prime landed (the msg_done
+        // RMW chain orders every st.sent[0, m) write before this):
+        // extend to the parity tail and release the deferred chunks.
+        extend_parity(*fl.st);
+        for (std::size_t jd = 0; jd < k; ++jd) {
+          if (node_chunk(jd).second > m) push_chunk(fl, jd);
         }
       }
-    } catch (...) {
-      errors.capture();
-    }
-  };
-  unsigned threads = config_.num_threads != 0
-                         ? config_.num_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(total_tasks));
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    });
+  } catch (const SessionCancelled&) {
+    for (std::size_t pi : prime_indices) reset_prime(pi);
+    throw;
   }
-  errors.rethrow_if_any();
+}
 
-  for (std::size_t pi = 0; pi < num_primes; ++pi) {
-    if (!flights[pi]->finalized.load()) {
-      throw std::logic_error(
-          "StreamingSymbolChannel: stream exhausted without delivering "
-          "every symbol");
-    }
-  }
+void ProofSession::run_prime_streaming(std::size_t prime_index,
+                                       const StreamingSymbolChannel& channel,
+                                       const SessionCancelFn& cancel) {
+  drive(std::span<const std::size_t>(&prime_index, 1), channel, cancel);
+}
+
+RunReport ProofSession::run_streaming(const StreamingSymbolChannel& channel) {
+  reset_for_run();
+  std::vector<std::size_t> all(primes_.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  drive(all, channel, nullptr);
   return report();
 }
 
@@ -880,51 +714,60 @@ const PrimeRunReport& ProofSession::prime_report(
 }
 
 std::vector<std::size_t> ProofSession::implicated_nodes() const {
-  std::set<std::size_t> nodes;
-  for (const PrimeState& st : primes_) {
-    nodes.insert(st.report.implicated_nodes.begin(),
-                 st.report.implicated_nodes.end());
-  }
-  return {nodes.begin(), nodes.end()};
+  return report().implicated_nodes();
 }
 
-bool ProofSession::complete() const {
-  for (const PrimeState& st : primes_) {
-    if (st.stage != SessionStage::kRecovered || !st.report.verified ||
-        st.report.decode_status != DecodeStatus::kOk) {
-      return false;
-    }
-  }
-  return !primes_.empty();
+bool ProofSession::complete() const { return report().success; }
+
+RunReport ProofSession::report() const {
+  std::vector<PrimeRunReport> per_prime;
+  per_prime.reserve(primes_.size());
+  for (const PrimeState& st : primes_) per_prime.push_back(st.report);
+  return assemble_report(spec_, *plan_, std::move(per_prime), node_stats_,
+                         wall_seconds_.load(std::memory_order_relaxed));
 }
 
 // ---- Reconstruction over the integers (CRT across primes) ---------------
 
-RunReport ProofSession::report() const {
+RunReport assemble_report(const ProofSpec& spec, const PrimePlan& plan,
+                          std::vector<PrimeRunReport> per_prime,
+                          std::vector<NodeStats> node_stats,
+                          double wall_seconds) {
   RunReport out;
-  out.proof_symbols = spec_.degree_bound + 1;
-  out.code_length = plan_->code_length;
-  out.num_primes = plan_->primes.size();
-  out.node_stats = node_stats_;
-  out.wall_seconds = wall_seconds_.load(std::memory_order_relaxed);
-  out.per_prime.reserve(primes_.size());
-  for (const PrimeState& st : primes_) out.per_prime.push_back(st.report);
-
-  out.success = complete();
-  if (out.success) {
-    out.answers.reserve(spec_.answer_count);
-    for (std::size_t a = 0; a < spec_.answer_count; ++a) {
-      std::vector<u64> residues(primes_.size());
-      for (std::size_t pi = 0; pi < primes_.size(); ++pi) {
-        residues[pi] = primes_[pi].report.answer_residues[a];
-      }
-      out.answers.push_back(
-          spec_.answers_signed
-              ? crt_reconstruct_signed(residues, plan_->primes)
-              : crt_reconstruct(residues, plan_->primes));
+  out.proof_symbols = spec.degree_bound + 1;
+  out.code_length = plan.code_length;
+  out.num_primes = plan.primes.size();
+  out.node_stats = std::move(node_stats);
+  out.wall_seconds = wall_seconds;
+  out.per_prime = std::move(per_prime);
+  // The one completeness rule.
+  out.success = !out.per_prime.empty();
+  for (const PrimeRunReport& pr : out.per_prime) {
+    if (pr.decode_status != DecodeStatus::kOk || !pr.verified ||
+        pr.answer_residues.size() != spec.answer_count) {
+      out.success = false;
     }
   }
+  if (!out.success) return out;
+  out.answers.reserve(spec.answer_count);
+  std::vector<u64> residues(out.per_prime.size());
+  for (std::size_t a = 0; a < spec.answer_count; ++a) {
+    for (std::size_t pi = 0; pi < out.per_prime.size(); ++pi) {
+      residues[pi] = out.per_prime[pi].answer_residues[a];
+    }
+    out.answers.push_back(spec.answers_signed
+                              ? crt_reconstruct_signed(residues, plan.primes)
+                              : crt_reconstruct(residues, plan.primes));
+  }
   return out;
+}
+
+std::vector<std::size_t> RunReport::implicated_nodes() const {
+  std::set<std::size_t> nodes;
+  for (const PrimeRunReport& pr : per_prime) {
+    nodes.insert(pr.implicated_nodes.begin(), pr.implicated_nodes.end());
+  }
+  return {nodes.begin(), nodes.end()};
 }
 
 }  // namespace camelot

@@ -21,6 +21,19 @@
 // Reed--Solomon code and subproduct tree for that prime are already
 // built and stay cached in the session.
 //
+// One chunk driver sits behind every one-shot entry point: run(),
+// run_streaming() and run_prime_streaming() all push per-(prime, node)
+// chunks through a StreamingSymbolChannel into a resumable decoder,
+// and prepare_prime() reuses the driver's evaluation step and thread
+// pool. The staged transport pushes the prepared chunks through the
+// same channels, so there is one transport abstraction.
+//
+// Substitution note: the paper's physical network is modelled by an
+// in-process bus (the session's StreamingSymbolChannel); the per-node
+// computation is the genuine algorithm a physical node would run, and
+// the symbol counts reported equal the network traffic the paper
+// describes (footnote 6).
+//
 // Field state (Montgomery contexts, NTT twiddle tables) comes from a
 // FieldCache — the process-global one unless the caller injects a
 // specific cache (ProofService injects its own shared instance).
@@ -32,7 +45,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -58,48 +71,10 @@ enum class SessionStage {
   kRecovered,    // answer residues extracted
 };
 
-// Pluggable broadcast channel: what the honest parties receive when
-// the prepared symbols are broadcast. Implementations must be
-// deterministic functions of their inputs (stream_seed carries the
-// per-(seed, prime, stage) randomness).
-class SymbolChannel {
- public:
-  virtual ~SymbolChannel() = default;
-
-  // sent[i] was produced by node owners[i] at evaluation point
-  // points[i]; returns the symbols the honest parties receive.
-  virtual std::vector<u64> deliver(std::span<const u64> sent,
-                                   std::span<const std::size_t> owners,
-                                   std::span<const u64> points,
-                                   const PrimeField& f,
-                                   u64 stream_seed) const = 0;
-};
-
-// Faithful broadcast: every symbol arrives unchanged.
-class LosslessChannel final : public SymbolChannel {
- public:
-  std::vector<u64> deliver(std::span<const u64> sent,
-                           std::span<const std::size_t> owners,
-                           std::span<const u64> points, const PrimeField& f,
-                           u64 stream_seed) const override;
-};
-
-// Broadcast through Morgana: the adversary corrupts the symbols of
-// the nodes it controls. Non-owning — the adversary must outlive the
-// channel.
-class AdversarialChannel final : public SymbolChannel {
- public:
-  explicit AdversarialChannel(const ByzantineAdversary& adversary)
-      : adversary_(adversary) {}
-
-  std::vector<u64> deliver(std::span<const u64> sent,
-                           std::span<const std::size_t> owners,
-                           std::span<const u64> points, const PrimeField& f,
-                           u64 stream_seed) const override;
-
- private:
-  const ByzantineAdversary& adversary_;
-};
+// Short names for the two channels the staged transport is most often
+// given.
+using LosslessChannel = LosslessStreamingChannel;
+using AdversarialChannel = AdversarialStreamingChannel;
 
 // Thrown by run_prime_streaming when its cancel callback reports
 // expiry at a chunk boundary: the in-flight prime aborts instead of
@@ -144,7 +119,7 @@ class ProofSession {
   // stage and leaves the others untouched, so a selectively re-run
   // prime is never clobbered by a later whole-session call.
   ProofSession& prepare();
-  ProofSession& transport(const SymbolChannel& channel);
+  ProofSession& transport(const StreamingSymbolChannel& channel);
   // Convenience: adversarial channel when non-null, lossless otherwise.
   ProofSession& transport(const ByzantineAdversary* adversary = nullptr);
   ProofSession& decode();
@@ -152,15 +127,13 @@ class ProofSession {
   ProofSession& recover();
 
   // One-shot pipeline; resets any existing per-prime state first.
-  // Equivalent to (and used by) the legacy Cluster::run(). Since the
-  // streaming transport landed this drives the overlapped pipeline
-  // below (over an adversarial or lossless streaming channel) — the
-  // reports are bit-identical to the barrier staging either way.
+  // Drives run_streaming over an adversarial (when non-null) or
+  // lossless channel — the reports are bit-identical to run_barrier.
   RunReport run(const ByzantineAdversary* adversary = nullptr);
 
   // One-shot pipeline over the whole-stage barriers (prepare every
-  // prime, then transport, then decode, ...). Kept for A/B against
-  // the streaming pipeline; results are bit-identical.
+  // prime, then transport, then decode, ...). Kept as the reference
+  // the overlapped runs are checked against; results are bit-identical.
   RunReport run_barrier(const ByzantineAdversary* adversary = nullptr);
 
   // ---- Streaming pipeline -----------------------------------------------
@@ -173,14 +146,15 @@ class ProofSession {
   RunReport run_streaming(const StreamingSymbolChannel& channel);
 
   // One prime's full pipeline (prepare -> stream -> decode -> verify
-  // -> recover) driven through `channel` on the calling thread (plus
-  // config.num_threads node workers when > 1). Safe to call
-  // concurrently for *distinct* primes of one session — this is the
-  // unit the ProofService scheduler steals across jobs. `cancel`,
-  // when set, is polled at every chunk compute/absorb boundary; once
-  // it returns true the prime resets to kCreated and the call throws
-  // SessionCancelled — this is how an expired job's deadline reaches
-  // *in-flight* primes instead of only unstarted ones.
+  // -> recover): the chunk driver of run_streaming over this prime
+  // alone, on the calling thread (or config.num_threads node workers
+  // when > 1). Safe to call concurrently for *distinct* primes of one
+  // session — this is the unit the ProofService scheduler steals
+  // across jobs. `cancel`, when set, is polled at every chunk, absorb
+  // and tail-drain boundary; once it returns true the prime resets to
+  // kCreated and the call throws SessionCancelled — this is how an
+  // expired job's deadline reaches *in-flight* primes instead of only
+  // unstarted ones.
   void run_prime_streaming(std::size_t prime_index,
                            const StreamingSymbolChannel& channel,
                            const SessionCancelFn& cancel = nullptr);
@@ -190,7 +164,12 @@ class ProofSession {
   // reached at least the preceding stage (std::logic_error otherwise).
   // Re-running a stage invalidates the stages after it.
   void prepare_prime(std::size_t prime_index);
-  void transport_prime(std::size_t prime_index, const SymbolChannel& channel);
+  // Pushes one chunk per node from sent() through a fresh stream of
+  // `channel`, closes it and drains it into received(). The staged
+  // path has no repair: a channel that delivers short (an erasure
+  // channel) throws std::logic_error and the prime stays kPrepared.
+  void transport_prime(std::size_t prime_index,
+                       const StreamingSymbolChannel& channel);
   void decode_prime(std::size_t prime_index);
   void verify_prime(std::size_t prime_index);
   void recover_prime(std::size_t prime_index);
@@ -209,11 +188,11 @@ class ProofSession {
   const PrimeRunReport& prime_report(std::size_t prime_index) const;
   // Union of implicated nodes across decoded primes.
   std::vector<std::size_t> implicated_nodes() const;
-  // True iff every prime decoded, verified and recovered.
+  // True iff every prime decoded, verified and recovered
+  // (report().success).
   bool complete() const;
 
-  // Snapshot of the overall outcome; performs the CRT reconstruction
-  // when every prime has recovered residues.
+  // Snapshot of the overall outcome through assemble_report.
   RunReport report() const;
 
  private:
@@ -240,34 +219,51 @@ class ProofSession {
                                    SessionStage min_stage,
                                    const char* what) const;
   void invalidate_downstream(PrimeState& st, SessionStage new_stage);
-  void ensure_code(PrimeState& st);
-  // Resets `st` to kCreated and opens its per-prime stream on the
-  // channel (shared front half of the two streaming drivers).
-  std::unique_ptr<SymbolStream> open_prime_stream(
-      PrimeState& st, const StreamingSymbolChannel& channel);
-  // Back half: requires a fully-absorbed decoder; runs decode ->
-  // verify -> recover (throws if the stream delivered short).
-  void finalize_prime_stream(PrimeState& st, StreamingGaoDecoder& decoder);
-  // Selective repair after a drained stream left the decoder short
+  // Back to kCreated with the code built and a zeroed sent word.
+  void restart_prime(PrimeState& st);
+  // Static metadata of st's broadcast (owners, points, stream seed).
+  StreamSpec stream_spec(const PrimeState& st) const;
+  // st.sent[lo, hi) as a chunk produced by `node`.
+  SymbolChunk sent_chunk(const PrimeState& st, std::size_t node, std::size_t lo,
+                         std::size_t hi) const;
+  // The chunk driver behind every one-shot entry point: restarts the
+  // given primes, then runs their (prime, node) tasks on the node
+  // pool — evaluate the node's message sub-chunk, push the chunks that
+  // are final, extend parity after a prime's last message chunk and
+  // release its deferred chunks. The worker that pushes a prime's
+  // last chunk drains the tail, repairs and settles the prime while
+  // other primes may still be preparing. `cancel` is probed at every
+  // chunk, absorb and tail-drain boundary; SessionCancelled resets
+  // the given primes.
+  void drive(std::span<const std::size_t> prime_indices,
+             const StreamingSymbolChannel& channel,
+             const SessionCancelFn& cancel);
+  // Absorbs what `stream` delivers right now or, with
+  // `until_exhausted`, everything up to exhaustion; `cancel` is probed
+  // before every poll.
+  void drain_stream(PrimeState& st, SymbolStream& stream,
+                    StreamingGaoDecoder& decoder, const SessionCancelFn& cancel,
+                    bool until_exhausted, const char* what);
+  // Back half of a drained stream: decode -> verify -> recover from
+  // the decoder's word when every symbol was `delivered`; otherwise
+  // (spent repair budget) the prime settles as a decode failure with
+  // an empty received word — never a hang or a throw.
+  void settle_prime(PrimeState& st, const StreamingGaoDecoder& decoder,
+                    bool delivered);
+  // Selective repair when a drained stream left the decoder short
   // (lossy transports): round by round, re-arms the stream via
   // reopen_for_repair, re-evaluates only the missing *message*
   // positions through the owners' evaluators (an evaluator-prefix
   // call under systematic encoding), re-ships the missing parity tail
   // from the systematic extension already in st.sent, and drains the
-  // re-pushed chunks into the decoder. Bounded by
-  // config.repair_budget rounds.
-  enum class RepairOutcome {
-    kUnsupported,      // transport accepts no repair traffic
-    kBudgetExhausted,  // budget spent, symbols still missing
-    kRepaired,         // decoder fully absorbed
-  };
-  RepairOutcome repair_stream_shortfall(PrimeState& st, SymbolStream& stream,
-                                        StreamingGaoDecoder& decoder,
-                                        const SessionCancelFn& cancel);
-  // Terminal shortfall: the prime's pipeline completes as a decode
-  // failure (never a hang or a throw) — empty received word, no
-  // verification, no residues.
-  void fail_prime_stream(PrimeState& st);
+  // re-pushed chunks into the decoder. Returns true once the decoder
+  // holds every symbol (at once when nothing is missing), false once
+  // config.repair_budget rounds are spent with symbols still missing;
+  // throws std::logic_error when the transport accepts no repair
+  // traffic at all (it cannot lose symbols by contract).
+  bool repair_stream(PrimeState& st, SymbolStream& stream,
+                     StreamingGaoDecoder& decoder,
+                     const SessionCancelFn& cancel);
   // [lo, hi) bounds of node j's contiguous codeword chunk (the closed
   // form of symbol_owner: owner(i) = floor(i*K/e)).
   std::pair<std::size_t, std::size_t> node_chunk(std::size_t node) const;
@@ -278,16 +274,18 @@ class ProofSession {
   // Count of nodes whose chunk intersects [0, message_prefix()) — the
   // nodes that perform evaluator work on the systematic path.
   std::size_t message_node_count() const;
-  // Evaluates codeword positions [lo, hi) on node's behalf (one
-  // batched evaluator call) and records its stats; callers clamp hi
-  // to the message prefix on the systematic path.
-  std::vector<u64> evaluate_node_range(PrimeState& st, std::size_t node,
-                                       std::size_t lo, std::size_t hi);
+  // Evaluates codeword positions [lo, hi) into st.sent on node's
+  // behalf (one batched evaluator call) and records its stats.
+  void evaluate_node_range(PrimeState& st, std::size_t node, std::size_t lo,
+                           std::size_t hi);
+  // Evaluates node's chunk clipped to the message prefix; false when
+  // the chunk is parity-only (no evaluator work).
+  bool evaluate_message_chunk(PrimeState& st, std::size_t node);
   // Extends the message prefix already sitting in st.sent[0, m) to
   // the parity tail st.sent[m, e) via the code's systematic encoder.
   void extend_parity(PrimeState& st);
-  // Stage bodies shared by the barrier stage methods (which add
-  // precondition checks and wall timing) and the streaming pipeline.
+  // Stage bodies shared by the staged stage methods (which add
+  // precondition checks and wall timing) and the chunk driver.
   void apply_decode(PrimeState& st, GaoResult decoded);
   void apply_verify(PrimeState& st);
   void apply_recover(PrimeState& st);
@@ -321,5 +319,15 @@ class ProofSession {
   // this is closer to busy-time than wall-clock.
   std::atomic<double> wall_seconds_{0.0};
 };
+
+// The overall outcome from per-prime reports laid out in plan order.
+// success iff there is at least one prime and every prime decoded,
+// passed verification and recovered all spec.answer_count residues;
+// then the answers are CRT-reconstructed across plan.primes. Both
+// ProofSession::report() and ShardCoordinator::run() assemble here.
+RunReport assemble_report(const ProofSpec& spec, const PrimePlan& plan,
+                          std::vector<PrimeRunReport> per_prime,
+                          std::vector<NodeStats> node_stats,
+                          double wall_seconds);
 
 }  // namespace camelot

@@ -12,14 +12,13 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "apps/ov.hpp"
 #include "core/erasure_stream.hpp"
 #include "core/prime_plan.hpp"
 #include "core/proof_session.hpp"
 #include "core/symbol_stream.hpp"
-#include "apps/ov.hpp"
 #include "count/clique_camelot.hpp"
 #include "count/triangle_camelot.hpp"
-#include "field/crt.hpp"
 #include "graph/generators.hpp"
 #include "linalg/tensor.hpp"
 #include "obs/trace.hpp"
@@ -283,6 +282,11 @@ bool write_all(int fd, const char* data, std::size_t n) {
   return true;
 }
 
+// Largest payload either side accepts. A header claiming more is a
+// broken or hostile peer: rejecting it before allocating keeps a
+// 4-byte header from committing gigabytes.
+constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
 bool write_frame(int fd, const std::string& payload) {
   std::string framed;
   framed.reserve(4 + payload.size());
@@ -292,7 +296,8 @@ bool write_frame(int fd, const std::string& payload) {
 }
 
 // Blocking whole-frame read (worker side; the worker is sequential).
-// Returns nullopt on EOF at a frame boundary, throws mid-frame.
+// Returns nullopt on EOF at a frame boundary, throws mid-frame and on
+// a header over the frame-size cap.
 std::optional<std::string> read_frame(int fd) {
   unsigned char hdr[4];
   std::size_t got = 0;
@@ -310,6 +315,9 @@ std::optional<std::string> read_frame(int fd) {
   }
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) len |= std::uint32_t(hdr[i]) << (8 * i);
+  if (len > kMaxFrameBytes) {
+    throw std::runtime_error("shard wire: frame exceeds the size cap");
+  }
   std::string payload(len, '\0');
   got = 0;
   while (got < len) {
@@ -623,15 +631,30 @@ bool ShardCoordinator::pump(Shard& s) {
 }
 
 std::optional<std::string> ShardCoordinator::take_frame(Shard& s) {
-  if (s.rbuf.size() < 4) return std::nullopt;
+  if (s.rbuf.size() < s.rpos + 4) return std::nullopt;
   std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= std::uint32_t(static_cast<unsigned char>(s.rbuf[std::size_t(i)]))
+  for (std::size_t i = 0; i < 4; ++i) {
+    len |= std::uint32_t(static_cast<unsigned char>(s.rbuf[s.rpos + i]))
            << (8 * i);
   }
-  if (s.rbuf.size() < 4 + std::size_t(len)) return std::nullopt;
-  std::string payload = s.rbuf.substr(4, len);
-  s.rbuf.erase(0, 4 + std::size_t(len));
+  if (len > kMaxFrameBytes) {
+    CAMELOT_TRACE_MSG(obs::kTraceSched, "shard wire: over-cap frame (%u)",
+                      static_cast<unsigned>(len));
+    // The worker is not following the protocol; do not wait for it to
+    // notice its closed stdin.
+    if (s.pid > 0) ::kill(s.pid, SIGKILL);
+    mark_dead(s);
+    return std::nullopt;
+  }
+  if (s.rbuf.size() < s.rpos + 4 + len) return std::nullopt;
+  std::string payload = s.rbuf.substr(s.rpos + 4, len);
+  s.rpos += 4 + std::size_t(len);
+  // Compact once the consumed prefix passes half the buffer, so
+  // draining n buffered bytes costs O(n), not one erase per frame.
+  if (s.rpos > s.rbuf.size() / 2) {
+    s.rbuf.erase(0, s.rpos);
+    s.rpos = 0;
+  }
   return payload;
 }
 
@@ -796,41 +819,21 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
               "ShardCoordinator: unexpected frame from worker");
         }
       }
-      if (fatal && s.alive) {
+      // take_frame kills a shard that sent an over-cap header.
+      if (fatal || !s.alive) {
         mark_dead(s);
         redistribute(s);
       }
     }
   }
 
-  // ---- Assemble the RunReport exactly as ProofSession::report() does.
-  RunReport out;
-  out.proof_symbols = spec.degree_bound + 1;
-  out.code_length = plan.code_length;
-  out.num_primes = num_primes;
-  out.node_stats = std::move(node_stats);
-  out.wall_seconds = worker_seconds;
-  out.per_prime.reserve(num_primes);
-  bool complete = true;
-  for (std::size_t pi = 0; pi < num_primes; ++pi) {
-    const PrimeRunReport& pr = *reports[pi];
-    complete = complete && pr.decode_status == DecodeStatus::kOk &&
-               pr.verified && pr.answer_residues.size() == spec.answer_count;
-    out.per_prime.push_back(pr);
+  std::vector<PrimeRunReport> per_prime;
+  per_prime.reserve(num_primes);
+  for (std::optional<PrimeRunReport>& pr : reports) {
+    per_prime.push_back(std::move(*pr));
   }
-  out.success = complete;
-  if (out.success) {
-    out.answers.reserve(spec.answer_count);
-    for (std::size_t a = 0; a < spec.answer_count; ++a) {
-      std::vector<u64> residues(num_primes);
-      for (std::size_t pi = 0; pi < num_primes; ++pi) {
-        residues[pi] = out.per_prime[pi].answer_residues[a];
-      }
-      out.answers.push_back(spec.answers_signed
-                                ? crt_reconstruct_signed(residues, plan.primes)
-                                : crt_reconstruct(residues, plan.primes));
-    }
-  }
+  RunReport out = assemble_report(spec, plan, std::move(per_prime),
+                                  std::move(node_stats), worker_seconds);
   job_latency_->observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count());
@@ -849,7 +852,7 @@ obs::Registry::Snapshot ShardCoordinator::fleet_snapshot() {
     // worker had queued (a worker is sequential, so the snapshot is
     // the last frame it emits for this request).
     bool got = false;
-    while (!got) {
+    while (!got && s.alive) {
       pollfd pfd{s.from_fd, POLLIN, 0};
       const int rc = ::poll(&pfd, 1, /*ms=*/10000);
       if (rc <= 0) {

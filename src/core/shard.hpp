@@ -9,7 +9,10 @@
 // the worker's stdin/stdout. A worker is sequential — it reads one
 // frame, handles it to completion, answers, and reads the next — so
 // the coordinator can queue a retry submit at a busy survivor and the
-// pipe buffers it until the survivor is free.
+// pipe buffers it until the survivor is free. Both readers reject a
+// header over a fixed frame-size cap before allocating: the worker
+// answers kError and exits 1, and the coordinator marks the shard
+// dead and retries its primes on the survivors.
 //
 // Determinism: a shard recomputes the PrimePlan from the job spec with
 // the same plan_primes call the coordinator (and a single-process
@@ -127,9 +130,9 @@ class ShardCoordinator {
   // Runs one job across the fleet: round-robin partition of the
   // PrimePlan, dispatch, collect, redistribute a dead shard's
   // unfinished primes over the survivors, then assemble the RunReport
-  // exactly as ProofSession::report() would (CRT across primes,
-  // node stats summed). Throws std::runtime_error when every shard
-  // died before the job settled.
+  // through assemble_report, as ProofSession::report() does (CRT
+  // across primes, node stats summed). Throws std::runtime_error when
+  // every shard died before the job settled.
   RunReport run(const ShardJob& job);
 
   std::size_t num_shards() const noexcept { return shards_.size(); }
@@ -159,7 +162,8 @@ class ShardCoordinator {
     int to_fd = -1;    // coordinator -> worker (worker stdin)
     int from_fd = -1;  // worker -> coordinator (worker stdout)
     bool alive = false;
-    std::string rbuf;  // partial-frame read buffer
+    std::string rbuf;      // partial-frame read buffer
+    std::size_t rpos = 0;  // consumed prefix of rbuf
     // Prime indices dispatched to this worker and not yet reported.
     std::deque<std::size_t> pending;
     std::uint64_t bytes_sent = 0;
@@ -171,7 +175,8 @@ class ShardCoordinator {
   void send_frame(Shard& s, const std::string& payload);
   // Drains readable bytes into s.rbuf; returns false on EOF/error.
   bool pump(Shard& s);
-  // Extracts one complete frame payload from s.rbuf if present.
+  // Extracts one complete frame payload from s.rbuf if present; marks
+  // the shard dead on a header over the frame-size cap.
   std::optional<std::string> take_frame(Shard& s);
   void mark_dead(Shard& s);
   void update_bandwidth(Shard& s);

@@ -1,22 +1,23 @@
-// Streaming symbol transport: chunk-granular broadcast replacing the
-// whole-stage barrier of SymbolChannel.
+// Streaming symbol transport: the one chunk-granular broadcast
+// abstraction of the pipeline.
 //
 // The §1.3 pipeline is overlappable — a prime's symbols can be decoded
-// as soon as its nodes finish preparing them — but a barrier channel
-// forces every node of every prime to finish before the first decode
-// starts. A StreamingSymbolChannel instead opens one SymbolStream per
-// prime; producers push() each node's chunk the moment it is computed,
-// and the consumer poll()s whatever is deliverable *now*, feeding a
-// StreamingGaoDecoder incrementally. ProofSession::run_streaming and
-// the ProofService scheduler overlap prepare, transport and decode
-// across primes on top of this interface.
+// as soon as its nodes finish preparing them — so nothing waits on a
+// whole-stage barrier. A StreamingSymbolChannel opens one SymbolStream
+// per prime; producers push() each node's chunk the moment it is
+// computed, and the consumer poll()s whatever is deliverable *now*,
+// feeding a StreamingGaoDecoder incrementally. ProofSession's chunk
+// driver and the ProofService scheduler overlap prepare, transport and
+// decode across primes on top of this interface; the staged
+// ProofSession::transport_prime pushes every chunk, closes the stream
+// and drains it in one go.
 //
 // Determinism contract: what a stream ultimately delivers must be a
 // pure function of the honest chunks and the StreamSpec (stream_seed
 // carries the per-(seed, prime, stage) randomness) — delivery *order*
 // and chunk *boundaries* may vary with scheduling, but the final
 // received word may not. All implementations here honour that, which
-// is why streaming runs are bit-identical to barrier runs.
+// is why overlapped runs are bit-identical to staged (barrier) runs.
 //
 // Threading contract: push(), close(), poll() and exhausted() may be
 // called concurrently from any thread. After close(), repeated poll()
@@ -107,8 +108,8 @@ class LosslessStreamingChannel final : public StreamingSymbolChannel {
 // are rewritten in flight. The corruption schedule is fixed per
 // stream from (owners, points, stream_seed) before the first chunk
 // arrives — see ByzantineAdversary::make_plan — so the received word
-// is bit-identical to the barrier AdversarialChannel no matter the
-// arrival order. Non-owning: the adversary must outlive the channel.
+// is bit-identical to a whole-word ByzantineAdversary::corrupt no
+// matter the arrival order. Non-owning: the adversary must outlive the channel.
 class AdversarialStreamingChannel final : public StreamingSymbolChannel {
  public:
   explicit AdversarialStreamingChannel(const ByzantineAdversary& adversary)

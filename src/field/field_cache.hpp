@@ -63,7 +63,7 @@ class FieldCache {
   Stats stats() const;
 
   // Process-wide default cache (used by ProofSession when the caller
-  // does not supply one, so even one-shot Cluster::run calls reuse
+  // does not supply one, so even one-shot ProofSession::run calls reuse
   // per-prime state across invocations).
   static const std::shared_ptr<FieldCache>& global();
 

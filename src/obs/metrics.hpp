@@ -153,7 +153,7 @@ class Registry {
   Snapshot snapshot() const;
 
   // Process-wide default registry: sessions constructed without an
-  // injected registry (stand-alone ProofSession, Cluster::run, the
+  // injected registry (stand-alone ProofSession runs, the benches and
   // examples) record their stage spans here, mirroring
   // FieldCache::global()/CodeCache::global().
   static const std::shared_ptr<Registry>& global();

@@ -1,5 +1,7 @@
 #include "rs/gao.hpp"
 
+#include <stdexcept>
+
 #include "obs/trace.hpp"
 #include "poly/fast_div.hpp"
 #include "poly/hgcd.hpp"
@@ -43,9 +45,8 @@ namespace {
 // Decode core over boundary-prepared words: `canonical` holds the
 // received word as canonical representatives, `domain` the same word
 // in the backend's value domain (equal to `canonical` under the
-// division backend). Both gao_decode and StreamingGaoDecoder::finish
-// land here, which is what keeps streaming decodes bit-identical to
-// barrier ones.
+// division backend). StreamingGaoDecoder::finish lands here, and
+// gao_decode is one whole-word absorb into that decoder.
 GaoResult gao_decode_prepared(const ReedSolomonCode& code,
                               std::span<const u64> canonical,
                               std::span<const u64> domain) {
@@ -139,25 +140,6 @@ GaoResult gao_decode_prepared(const ReedSolomonCode& code,
 
 }  // namespace
 
-GaoResult gao_decode(const ReedSolomonCode& code,
-                     std::span<const u64> received) {
-  if (received.size() != code.length()) {
-    throw std::invalid_argument("gao_decode: received length mismatch");
-  }
-  const PrimeField& f = code.ops().prime();
-  ScratchVec canonical(received.begin(), received.end());
-  for (u64& v : canonical) v = f.reduce(v);
-  if (code.ops().backend() == FieldBackend::kPrimeDivision) {
-    return gao_decode_prepared(code, canonical, canonical);
-  }
-  const MontgomeryField& m = code.ops().mont();
-  ScratchVec domain(canonical.size(), 0);
-  for (std::size_t i = 0; i < canonical.size(); ++i) {
-    domain[i] = m.to_mont(canonical[i]);
-  }
-  return gao_decode_prepared(code, canonical, domain);
-}
-
 StreamingGaoDecoder::StreamingGaoDecoder(const ReedSolomonCode& code)
     : code_(code),
       montgomery_(code.ops().backend() != FieldBackend::kPrimeDivision),
@@ -212,6 +194,16 @@ GaoResult StreamingGaoDecoder::finish() const {
   }
   return gao_decode_prepared(code_, canonical_,
                              montgomery_ ? domain_ : canonical_);
+}
+
+GaoResult gao_decode(const ReedSolomonCode& code,
+                     std::span<const u64> received) {
+  if (received.size() != code.length()) {
+    throw std::invalid_argument("gao_decode: received length mismatch");
+  }
+  StreamingGaoDecoder decoder(code);
+  decoder.absorb(0, received);
+  return decoder.finish();
 }
 
 }  // namespace camelot

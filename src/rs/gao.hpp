@@ -49,7 +49,9 @@ struct GaoResult {
 // whose many degree-1 quotients used to cost Theta(e^2) — and stays
 // on the classical fast-division loop (poly/fast_div.hpp) below it.
 // Both paths emit the same genuine quotient sequence, so the choice
-// never moves an output word.
+// never moves an output word. One whole-word absorb into a
+// StreamingGaoDecoder followed by finish(); throws
+// std::invalid_argument unless received.size() == e.
 GaoResult gao_decode(const ReedSolomonCode& code,
                      std::span<const u64> received);
 
@@ -58,8 +60,8 @@ GaoResult gao_decode(const ReedSolomonCode& code,
 // boundary work (canonical reduction + Montgomery domain conversion)
 // happens at absorb time — overlapped with the nodes still preparing
 // the rest of the codeword — so finish() starts directly at the
-// interpolation. finish() is bit-identical to gao_decode() on the
-// same word.
+// interpolation. gao_decode() is this decoder fed the whole word at
+// once, so every arrival order decodes bit-identically to it.
 class StreamingGaoDecoder {
  public:
   // The code must outlive the decoder.

@@ -5,7 +5,7 @@
 #include "apps/csp2.hpp"
 #include "apps/hamming.hpp"
 #include "apps/ov.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "field/primes.hpp"
 
 namespace camelot {
@@ -16,8 +16,7 @@ RunReport run_cluster(const CamelotProblem& p, std::size_t nodes = 4,
   ClusterConfig cfg;
   cfg.num_nodes = nodes;
   cfg.redundancy = redundancy;
-  Cluster cluster(cfg);
-  return cluster.run(p);
+  return ProofSession(p, cfg).run();
 }
 
 TEST(Ov, BruteKnownCase) {

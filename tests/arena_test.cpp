@@ -14,7 +14,6 @@
 #include "apps/conv3sum.hpp"
 #include "apps/ov.hpp"
 #include "core/arena.hpp"
-#include "core/cluster.hpp"
 #include "core/proof_service.hpp"
 #include "core/proof_session.hpp"
 #include "linalg/tensor.hpp"

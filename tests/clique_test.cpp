@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "field/primes.hpp"
 #include "graph/brute.hpp"
 #include "graph/generators.hpp"
@@ -122,8 +122,7 @@ TEST(CliqueCamelotSmall, ClusterRunSmallKroneckerPower) {
   ClusterConfig cfg;
   cfg.num_nodes = 4;
   cfg.redundancy = 1.5;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(problem.cliques_from_answer(report.answers[0]).to_u64(), 1u);
 }
@@ -137,8 +136,7 @@ TEST(CliqueCamelot, ClusterRunCountsSixCliques) {
   ClusterConfig cfg;
   cfg.num_nodes = 8;
   cfg.redundancy = 1.3;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(problem.cliques_from_answer(report.answers[0]).to_u64(), expect);
   // Proof size matches Theorem 1's O(R) = O(N^omega) shape: d+1 <= 3R.
@@ -153,9 +151,8 @@ TEST(CliqueCamelot, ByzantineNodesToleratedAndCaught) {
   ClusterConfig cfg;
   cfg.num_nodes = 12;
   cfg.redundancy = 2.0;
-  Cluster cluster(cfg);
   ByzantineAdversary adversary({2, 9}, ByzantineStrategy::kRandom, 123);
-  RunReport report = cluster.run(problem, &adversary);
+  RunReport report = ProofSession(problem, cfg).run(&adversary);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(problem.cliques_from_answer(report.answers[0]).to_u64(), expect);
   EXPECT_EQ(report.implicated_nodes(), (std::vector<std::size_t>{2, 9}));
@@ -168,8 +165,7 @@ TEST(CliqueCamelot, RejectsTooSmallGraph) {
   CliqueCountProblem problem(g, 6, dec);
   ClusterConfig cfg;
   cfg.num_nodes = 2;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(problem.cliques_from_answer(report.answers[0]).to_u64(), 0u);
 }

@@ -3,8 +3,9 @@
 // per-round re-seeding through reopen_for_repair, golden lossy-vs-
 // lossless session agreement (same answers, residues and corrected
 // symbols once repair converges), loss composed with byzantine
-// corruption, and the bounded repair budget settling as a decode
-// failure instead of a hang.
+// corruption, the bounded repair budget settling as a decode failure
+// instead of a hang, and the repair-less staged transport refusing a
+// short delivery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -271,6 +272,35 @@ TEST(ErasureSession, TotalLossExhaustsBudgetAndFailsCleanly) {
     EXPECT_FALSE(pr.verified);
     EXPECT_EQ(pr.repair_rounds, config.repair_budget);
   }
+}
+
+TEST(ErasureSession, StagedTransportThrowsOnShortDeliveryAndStaysPrepared) {
+  // The staged path has no repair: a lossy channel that delivers short
+  // must throw and leave the prime at kPrepared, and a following
+  // lossless transport then completes it like an undisturbed run.
+  auto problem = make_problem();
+  ClusterConfig config = small_config();
+  ProofSession reference(*problem, config);
+  reference.run_prime_streaming(0, LosslessStreamingChannel());
+
+  ProofSession s(*problem, config);
+  s.prepare_prime(0);
+  ErasureStreamingChannel lossy(LossSpec{0.25, 99});
+  EXPECT_THROW(s.transport_prime(0, lossy), std::logic_error);
+  EXPECT_EQ(s.stage(0), SessionStage::kPrepared);
+  EXPECT_THROW(s.received(0), std::logic_error);
+  EXPECT_EQ(s.prime_report(0).repair_rounds, 0u);
+
+  s.transport_prime(0, LosslessStreamingChannel());
+  EXPECT_EQ(s.received(0), s.sent(0));
+  s.decode_prime(0);
+  s.verify_prime(0);
+  s.recover_prime(0);
+  EXPECT_EQ(s.stage(0), SessionStage::kRecovered);
+  EXPECT_EQ(s.prime_report(0).decode_status, DecodeStatus::kOk);
+  EXPECT_TRUE(s.prime_report(0).verified);
+  EXPECT_EQ(s.prime_report(0).answer_residues,
+            reference.prime_report(0).answer_residues);
 }
 
 TEST(ErasureSession, RepairCountersAreDeterministic) {

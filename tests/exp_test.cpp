@@ -2,7 +2,7 @@
 // its instantiations (Theorems 6, 7, 8, 9, 10).
 #include <gtest/gtest.h>
 
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "exp/chromatic.hpp"
 #include "exp/cnfsat.hpp"
 #include "exp/hamilton.hpp"
@@ -22,8 +22,7 @@ RunReport run_cluster(const CamelotProblem& p, std::size_t nodes = 4,
   ClusterConfig cfg;
   cfg.num_nodes = nodes;
   cfg.redundancy = redundancy;
-  Cluster cluster(cfg);
-  return cluster.run(p);
+  return ProofSession(p, cfg).run();
 }
 
 std::vector<u64> random_family(std::size_t n, std::size_t count, u64 seed) {
@@ -171,9 +170,8 @@ TEST(Chromatic, ByzantineRun) {
   ClusterConfig cfg;
   cfg.num_nodes = 10;
   cfg.redundancy = 2.0;
-  Cluster cluster(cfg);
   ByzantineAdversary adversary({1, 8}, ByzantineStrategy::kRandom, 3);
-  RunReport report = cluster.run(problem, &adversary);
+  RunReport report = ProofSession(problem, cfg).run(&adversary);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.implicated_nodes(), (std::vector<std::size_t>{1, 8}));
   std::vector<BigInt> baseline = chromatic_values_ie(g);

@@ -1,19 +1,21 @@
-// Tests for the staged ProofSession API: golden equivalence against
-// the legacy Cluster::run() facade across the four src/apps problems,
-// stage mechanics, selective per-prime re-runs under byzantine
-// corruption, backend selection and FieldCache reuse.
+// Tests for the staged ProofSession API: golden equivalence of the
+// overlapped run() against the run_barrier() reference across the four
+// src/apps problems, stage mechanics, selective per-prime re-runs under
+// byzantine corruption, cancellation, backend selection and FieldCache
+// reuse.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <numeric>
+#include <optional>
 
 #include "apps/conv3sum.hpp"
 #include "apps/csp2.hpp"
 #include "apps/hamming.hpp"
 #include "apps/ov.hpp"
-#include "core/cluster.hpp"
 #include "core/proof_session.hpp"
 #include "core/rng.hpp"
+#include "core/symbol_stream.hpp"
 #include "linalg/tensor.hpp"
 
 namespace camelot {
@@ -81,20 +83,20 @@ void expect_reports_equal(const RunReport& a, const RunReport& b) {
 
 class GoldenEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(GoldenEquivalence, SessionMatchesClusterRun) {
+TEST_P(GoldenEquivalence, RunMatchesBarrierRun) {
   const AppCase c = make_app_problem(GetParam());
   const ClusterConfig cfg = small_config();
 
-  Cluster cluster(cfg);
-  RunReport legacy = cluster.run(*c.problem);
-  ASSERT_TRUE(legacy.success);
+  RunReport barrier = ProofSession(*c.problem, cfg).run_barrier();
+  ASSERT_TRUE(barrier.success);
 
   ProofSession session(*c.problem, cfg);
   RunReport staged = session.run();
-  expect_reports_equal(legacy, staged);
+  expect_reports_equal(barrier, staged);
 
-  // Anchor against brute-force ground truth (Cluster::run is itself a
-  // session shim now, so the equivalence alone would be circular).
+  // Anchor against brute-force ground truth (both runs share the
+  // session's chunk evaluation, so the equivalence alone would be
+  // circular).
   if (!c.expected.empty()) {
     ASSERT_EQ(staged.answers.size(), c.expected.size());
     for (std::size_t i = 0; i < c.expected.size(); ++i) {
@@ -182,8 +184,11 @@ TEST(ProofSession, CorruptOnePrimeRerunOnlyThatPrime) {
   AdversarialChannel dark(adversary);
   LosslessChannel clean;
   for (std::size_t pi = 0; pi < s.num_primes(); ++pi) {
-    s.transport_prime(pi, pi == bad ? static_cast<const SymbolChannel&>(dark)
-                                    : clean);
+    if (pi == bad) {
+      s.transport_prime(pi, dark);
+    } else {
+      s.transport_prime(pi, clean);
+    }
   }
   s.decode().verify().recover();
 
@@ -316,19 +321,40 @@ TEST(ProofSession, SystematicEncodeMatchesFullEvaluation) {
 
 // Channel that adds 1 to the symbols at fixed positions — targeted
 // corruption for exercising specific codeword regions.
-class FlipChannel final : public SymbolChannel {
+class FlipChannel final : public StreamingSymbolChannel {
  public:
   explicit FlipChannel(std::vector<std::size_t> positions)
       : positions_(std::move(positions)) {}
-  std::vector<u64> deliver(std::span<const u64> sent,
-                           std::span<const std::size_t>, std::span<const u64>,
-                           const PrimeField& f, u64) const override {
-    std::vector<u64> out(sent.begin(), sent.end());
-    for (std::size_t pos : positions_) out[pos] = f.add(out[pos], 1);
-    return out;
+  std::unique_ptr<SymbolStream> open(const StreamSpec& spec) const override {
+    return std::make_unique<FlipStream>(LosslessStreamingChannel().open(spec),
+                                        *spec.field, positions_);
   }
 
  private:
+  class FlipStream final : public SymbolStream {
+   public:
+    FlipStream(std::unique_ptr<SymbolStream> inner, const PrimeField& f,
+               const std::vector<std::size_t>& positions)
+        : inner_(std::move(inner)), f_(f), positions_(positions) {}
+    void push(SymbolChunk chunk) override {
+      for (std::size_t pos : positions_) {
+        if (pos >= chunk.offset && pos - chunk.offset < chunk.symbols.size()) {
+          u64& v = chunk.symbols[pos - chunk.offset];
+          v = f_.add(v, 1);
+        }
+      }
+      inner_->push(std::move(chunk));
+    }
+    void close() override { inner_->close(); }
+    std::optional<SymbolChunk> poll() override { return inner_->poll(); }
+    bool exhausted() override { return inner_->exhausted(); }
+
+   private:
+    std::unique_ptr<SymbolStream> inner_;
+    const PrimeField& f_;
+    const std::vector<std::size_t>& positions_;
+  };
+
   std::vector<std::size_t> positions_;
 };
 
@@ -409,6 +435,71 @@ TEST(ProofSession, CancelledStreamingPrimeResetsAndReruns) {
   EXPECT_EQ(s.stage(0), SessionStage::kRecovered);
   EXPECT_TRUE(s.prime_report(0).verified);
   EXPECT_EQ(s.prime_report(0).decode_status, DecodeStatus::kOk);
+}
+
+// One-symbol-per-poll broadcast that flags when its stream is closed —
+// right after the last chunk was pushed — so a cancel probe can tell
+// the tail drain apart from the chunk boundaries before it.
+class ClosedFlagChannel final : public StreamingSymbolChannel {
+ public:
+  explicit ClosedFlagChannel(bool* closed) : closed_(closed) {}
+  std::unique_ptr<SymbolStream> open(const StreamSpec& spec) const override {
+    return std::make_unique<FlagStream>(trickle_.open(spec), closed_);
+  }
+
+ private:
+  class FlagStream final : public SymbolStream {
+   public:
+    FlagStream(std::unique_ptr<SymbolStream> inner, bool* closed)
+        : inner_(std::move(inner)), closed_(closed) {}
+    void push(SymbolChunk chunk) override { inner_->push(std::move(chunk)); }
+    void close() override {
+      *closed_ = true;
+      inner_->close();
+    }
+    std::optional<SymbolChunk> poll() override { return inner_->poll(); }
+    bool exhausted() override { return inner_->exhausted(); }
+
+   private:
+    std::unique_ptr<SymbolStream> inner_;
+    bool* closed_;
+  };
+
+  RateLimitedStreamingChannel trickle_{/*symbols_per_poll=*/1};
+  bool* closed_;
+};
+
+TEST(ProofSession, CancelledDuringTailDrainResetsAndReruns) {
+  // At one symbol per poll the tail drain — absorbing the last pushed
+  // chunk after the stream closed — is many polls long. Cancelling
+  // inside it must reset the prime exactly like a chunk-boundary
+  // cancel, and a re-run must then complete cleanly.
+  const AppCase app = make_app_problem(0);
+  ClusterConfig cfg = small_config();
+  cfg.num_threads = 1;  // deterministic probe sequence
+  ProofSession reference(*app.problem, cfg);
+  reference.run_prime_streaming(0, LosslessStreamingChannel());
+
+  bool closed = false;
+  ClosedFlagChannel channel(&closed);
+  ProofSession s(*app.problem, cfg);
+  // The second probe after the close has one symbol of the last chunk
+  // absorbed and the rest still queued.
+  int tail_probes = 0;
+  SessionCancelFn cancel = [&] { return closed && ++tail_probes == 2; };
+  EXPECT_THROW(s.run_prime_streaming(0, channel, cancel), SessionCancelled);
+  EXPECT_EQ(tail_probes, 2);
+  EXPECT_EQ(s.stage(0), SessionStage::kCreated);
+  EXPECT_THROW(s.sent(0), std::logic_error);
+
+  closed = false;
+  s.run_prime_streaming(0, channel);
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(s.stage(0), SessionStage::kRecovered);
+  EXPECT_TRUE(s.prime_report(0).verified);
+  EXPECT_EQ(s.prime_report(0).answer_residues,
+            reference.prime_report(0).answer_residues);
+  EXPECT_EQ(s.received(0), reference.received(0));
 }
 
 TEST(DeriveStream, StreamsAreDistinctAndStable) {

@@ -1,19 +1,25 @@
 // Tests for the sharded multi-process service: golden equality of the
 // coordinator's assembled RunReport against a single-process
 // ProofSession on the same job (lossless, lossy, and mixed
-// loss+corruption), shard-death retry, and the fleet observability
-// rollup (merged scrape == element-wise sum of the per-process
-// scrapes; deterministic counts match the single-process run).
+// loss+corruption), shard-death retry, the frame-size cap on both ends
+// of the wire, and the fleet observability rollup (merged scrape ==
+// element-wise sum of the per-process scrapes; deterministic counts
+// match the single-process run).
 //
 // Requires the shardd binary; ctest points CAMELOT_SHARDD at the
 // build-tree target. Suites skip (not fail) when it is missing so the
 // test binary stays runnable by hand from anywhere.
 #include <gtest/gtest.h>
 
+#include <limits.h>
+#include <stdlib.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "core/erasure_stream.hpp"
 #include "core/proof_session.hpp"
@@ -161,6 +167,43 @@ TEST(ShardProtocol, ProblemFactoryParsesAndRejects) {
   EXPECT_THROW(make_problem_from_spec("ov:8:5:0.5"), std::invalid_argument);
 }
 
+TEST(ShardProtocol, WorkerRejectsOverCapFrameHeader) {
+  // A header claiming 0xFFFFFFFF payload bytes must be refused before
+  // anything is allocated: the worker answers a kError frame and exits
+  // 1 instead of committing 4 GiB and waiting for bytes that never
+  // come.
+  int to_worker[2];
+  int from_worker[2];
+  ASSERT_EQ(::pipe(to_worker), 0);
+  ASSERT_EQ(::pipe(from_worker), 0);
+  const unsigned char header[4] = {0xff, 0xff, 0xff, 0xff};
+  ASSERT_EQ(::write(to_worker[1], header, sizeof(header)), 4);
+
+  rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  EXPECT_EQ(run_shard_worker(to_worker[0], from_worker[1]), 1);
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  // ru_maxrss is in KiB; the refused allocation would add ~4 GiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 256L * 1024);
+
+  ::close(from_worker[1]);
+  std::string reply;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::read(from_worker[0], buf, sizeof(buf))) > 0) {
+    reply.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(from_worker[0]);
+  ::close(to_worker[0]);
+  ::close(to_worker[1]);
+  // u32 payload length, then the kError tag and its message.
+  ASSERT_GT(reply.size(), 5u);
+  EXPECT_EQ(static_cast<unsigned char>(reply[4]),
+            static_cast<unsigned char>(ShardFrame::kError));
+  EXPECT_NE(reply.find("shard wire:"), std::string::npos) << reply;
+}
+
 // ---- Golden equality -----------------------------------------------------
 
 TEST(ShardCoordinatorTest, LosslessMatchesSingleProcess) {
@@ -224,6 +267,43 @@ TEST(ShardCoordinatorTest, SurvivesWorkerCrashAndRetries) {
   // Five primes round-robined over three shards leave the crashed
   // worker (shard 0: primes 0 and 3) one unfinished prime to retry.
   EXPECT_GT(fleet.retried_primes(), 0u);
+}
+
+TEST(ShardCoordinatorTest, OverCapFrameMarksShardDeadAndRetries) {
+  REQUIRE_SHARDD();
+  // The shard handed the fault-injection argument runs a stand-in that
+  // answers with a header claiming 0xFFFFFFFF payload bytes; the other
+  // shards run the real worker. The coordinator must drop the liar and
+  // retry its primes on the survivors instead of waiting for 4 GiB.
+  const char* env = std::getenv("CAMELOT_SHARDD");
+  char real[PATH_MAX];
+  ASSERT_NE(::realpath(env && *env ? env : "./shardd", real), nullptr);
+  char script[] = "/tmp/camelot_overcap_XXXXXX";
+  const int fd = ::mkstemp(script);
+  ASSERT_GE(fd, 0);
+  std::string body = "#!/bin/sh\ncase \"$1\" in --crash-after-primes=*)\n";
+  body += "  printf '\\377\\377\\377\\377'; exec cat >/dev/null;;\nesac\n";
+  body += "exec '" + std::string(real) + "' \"$@\"\n";
+  ASSERT_EQ(::write(fd, body.data(), body.size()),
+            static_cast<ssize_t>(body.size()));
+  ::close(fd);
+  ASSERT_EQ(::chmod(script, 0755), 0);
+
+  const ShardJob job = base_job();
+  const RunReport single = run_single_process(job);
+  ShardOptions options;
+  options.num_shards = 3;
+  options.shardd_path = script;
+  options.crash_shard = 0;
+  options.crash_after_primes = 1;
+  {
+    ShardCoordinator fleet(options);
+    const RunReport sharded = fleet.run(job);
+    expect_reports_equal(sharded, single);
+    EXPECT_EQ(fleet.live_shards(), 2u);
+    EXPECT_GT(fleet.retried_primes(), 0u);
+  }
+  ::unlink(script);
 }
 
 TEST(ShardCoordinatorTest, ReusableAcrossJobs) {

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "field/primes.hpp"
 #include "graph/brute.hpp"
 #include "graph/generators.hpp"
@@ -105,8 +105,7 @@ TEST(TriangleCamelot, ClusterRunCountsTriangles) {
   ClusterConfig cfg;
   cfg.num_nodes = 6;
   cfg.redundancy = 1.5;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(
       TriangleCountProblem::triangles_from_answer(report.answers[0]).to_u64(),
@@ -131,10 +130,9 @@ TEST(TriangleCamelot, ByzantineToleratedOnTriangles) {
   ClusterConfig cfg;
   cfg.num_nodes = 9;
   cfg.redundancy = 2.5;
-  Cluster cluster(cfg);
   ByzantineAdversary adversary({4}, ByzantineStrategy::kColludingPolynomial,
                                55);
-  RunReport report = cluster.run(problem, &adversary);
+  RunReport report = ProofSession(problem, cfg).run(&adversary);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(
       TriangleCountProblem::triangles_from_answer(report.answers[0]).to_u64(),
