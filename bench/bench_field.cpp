@@ -12,15 +12,13 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "field/backend_dispatch.hpp"
 #include "field/field_cache.hpp"
 #include "field/field_ops.hpp"
 #include "field/montgomery.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
 #include "field/primes.hpp"
 #include "linalg/matmul.hpp"
 #include "poly/fast_div.hpp"
@@ -173,6 +171,14 @@ struct Entry {
   double before_ns;
   double after_ns;
 };
+
+// Name of the kernel table FieldOps resolves for q at the best
+// backend this process runs ("scalar" when there is none).
+const char* resolved_kernels(u64 q) {
+  const MontKernels* k =
+      FieldOps(PrimeField(q), best_backend()).mont().kernels();
+  return k != nullptr ? k->name : "scalar";
+}
 
 }  // namespace
 }  // namespace camelot
@@ -470,20 +476,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- AVX2 backend vs scalar Montgomery ----------------------------------
+  // --- AVX2 kernel table vs scalar Montgomery ----------------------------
   // Measured on a *narrow* NTT prime (q < 2^31, the 5-vpmuludq
-  // double-REDC32 path): the framework's CRT primes are chosen just
+  // double-REDC32 table): the framework's CRT primes are chosen just
   // above the code length, so this is the regime every real session
-  // runs in — FieldOps resolves kMontgomeryAvx2 to scalar for wider
-  // primes, where 64-bit lanes cannot beat mulx. Only emitted when
-  // the process can run the AVX2 kernels (the committed baseline
-  // comes from an AVX2 host; check_bench.py only compares keys
-  // present on both sides).
+  // runs in — there is no AVX2 table for wider primes, where 64-bit
+  // lanes cannot beat mulx. Only emitted when the process resolves
+  // kMontgomeryAvx2 (the committed baseline comes from an AVX2 host;
+  // check_bench.py only compares keys present on both sides).
   if (simd_runtime_enabled()) {
     const u64 qn = find_ntt_prime(u64{1} << 29, 20);
     const PrimeField fn(qn);
     const MontgomeryField mn(fn);
-    const MontgomeryAvx2Field ms(mn);
+    const MontgomeryField ms =
+        FieldOps(fn, FieldBackend::kMontgomeryAvx2).mont();
 
     // Scalar mul throughput: Montgomery scalar loop vs 4xu64 lanes.
     {
@@ -564,16 +570,17 @@ int main(int argc, char** argv) {
                 "skipping *_avx2 entries\n");
   }
 
-  // --- AVX-512 backend vs scalar Montgomery -------------------------------
+  // --- AVX-512 kernel tables vs scalar Montgomery ------------------------
   // Same shape as mul_avx2 but on 8xu64 lanes; the narrow prime takes
-  // the IFMA REDC-52 kernel when the host has it, the wide prime the
-  // vpmullq REDC-64 kernel AVX2 has no counterpart for. Only emitted
-  // when the process can run the AVX-512 kernels.
+  // the REDC-32 table, the wide prime the vpmullq REDC-64 table AVX2
+  // has no counterpart for. Only emitted when the process resolves
+  // kMontgomeryAvx512.
   if (simd512_runtime_enabled()) {
     for (const bool wide : {false, true}) {
       const u64 qv = wide ? q : find_ntt_prime(u64{1} << 29, 20);
       const MontgomeryField mv((PrimeField(qv)));
-      const MontgomeryAvx512Field ms512(mv);
+      const MontgomeryField ms512 =
+          FieldOps(PrimeField(qv), FieldBackend::kMontgomeryAvx512).mont();
       constexpr std::size_t kN = 1 << 14;
       std::vector<u64> a(kN), b(kN), out_v(kN);
       for (auto& v : a) v = rng() % qv;
@@ -603,9 +610,9 @@ int main(int argc, char** argv) {
   // The same cached-twiddle transform with the Shoup butterfly forced
   // off ("before": REDC products against the Montgomery-domain
   // tables) and on ("after": mulhi-quotient products against the
-  // canonical twin tables). Run on the backend FieldOps resolves for
-  // each prime — the wide entry is the payoff case: AVX2 resolves to
-  // scalar above 2^31, and the scalar/AVX-512 Shoup butterfly drops
+  // canonical twin tables). Run on the kernel table FieldOps resolves
+  // for each prime — the wide entry is the payoff case: AVX2 resolves
+  // to scalar above 2^31, and the scalar/AVX-512 Shoup butterfly drops
   // the REDC chain's second widening multiply. Identical words either
   // way (the quotient product is exactly the REDC product).
   {
@@ -626,24 +633,22 @@ int main(int argc, char** argv) {
       std::vector<u64> base(kN);
       for (auto& v : base) v = rng() % sc.prime;
       const std::vector<u64> base_mont = mm.to_mont_vec(base);
-      with_lane_field(ops.backend(), mm, [&](const auto& lf) {
-        set_ntt_shoup_enabled(false);
-        const double before = ns_per_op([&] {
-          std::vector<u64> a = base_mont;
-          ntt_inplace(a, false, lf, *tables);
-          g_sink = a[0];
-          return 1.0;
-        });
-        set_ntt_shoup_enabled(true);
-        const double after = ns_per_op([&] {
-          std::vector<u64> a = base_mont;
-          ntt_inplace(a, false, lf, *tables);
-          g_sink = a[0];
-          return 1.0;
-        });
-        entries.push_back({sc.name, "redc_ns_per_op", "shoup_ns_per_op",
-                           before, after});
+      set_ntt_shoup_enabled(false);
+      const double before = ns_per_op([&] {
+        std::vector<u64> a = base_mont;
+        ntt_inplace(a, false, mm, *tables);
+        g_sink = a[0];
+        return 1.0;
       });
+      set_ntt_shoup_enabled(true);
+      const double after = ns_per_op([&] {
+        std::vector<u64> a = base_mont;
+        ntt_inplace(a, false, mm, *tables);
+        g_sink = a[0];
+        return 1.0;
+      });
+      entries.push_back({sc.name, "redc_ns_per_op", "shoup_ns_per_op",
+                         before, after});
     }
   }
 
@@ -690,6 +695,15 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out, "{\n  \"prime\": %llu,\n",
                static_cast<unsigned long long>(q));
+  // Host fingerprint: which kernel tables the gated numbers ran on.
+  // check_bench.py reads only "benchmarks", so this is for the reader.
+  std::fprintf(out,
+               "  \"host\": {\"nproc\": %u, "
+               "\"kernels_narrow_q\": \"%s\", "
+               "\"kernels_wide_q\": \"%s\", \"shoup\": %s},\n",
+               std::thread::hardware_concurrency(),
+               resolved_kernels(find_ntt_prime(u64{1} << 29, 20)),
+               resolved_kernels(q), ntt_shoup_enabled() ? "true" : "false");
   std::fprintf(out, "  \"benchmarks\": {\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];

@@ -555,9 +555,13 @@ std::size_t ShardCoordinator::live_shards() const noexcept {
 }
 
 void ShardCoordinator::spawn(std::size_t index) {
+  // Close-on-exec: a worker keeps only the two ends dup2'ed onto its
+  // stdin/stdout (dup2 clears the flag) and never inherits an earlier
+  // sibling's pipe ends, so closing a shard's stdin reaches that shard.
   int to_pipe[2];    // coordinator writes, worker stdin
   int from_pipe[2];  // worker stdout, coordinator reads
-  if (::pipe(to_pipe) != 0 || ::pipe(from_pipe) != 0) {
+  if (::pipe2(to_pipe, O_CLOEXEC) != 0 ||
+      ::pipe2(from_pipe, O_CLOEXEC) != 0) {
     throw std::runtime_error("ShardCoordinator: pipe() failed");
   }
   const bool inject_crash = index == options_.crash_shard &&
@@ -569,10 +573,6 @@ void ShardCoordinator::spawn(std::size_t index) {
   if (pid == 0) {
     ::dup2(to_pipe[0], STDIN_FILENO);
     ::dup2(from_pipe[1], STDOUT_FILENO);
-    ::close(to_pipe[0]);
-    ::close(to_pipe[1]);
-    ::close(from_pipe[0]);
-    ::close(from_pipe[1]);
     std::string crash_arg =
         "--crash-after-primes=" + std::to_string(options_.crash_after_primes);
     const char* argv[3] = {options_.shardd_path.c_str(),

@@ -84,7 +84,7 @@ FieldOps FieldCache::ops(u64 prime, std::size_t min_ntt_size,
                          FieldBackend backend) {
   auto field = mont(prime);
   auto tables = ntt_tables_for(field, prime, min_ntt_size);
-  return FieldOps(std::move(field), backend, std::move(tables));
+  return FieldOps(*field, backend, std::move(tables));
 }
 
 FieldCache::Stats FieldCache::stats() const {

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "field/montgomery_avx512.hpp"
+#include "field/montgomery_simd.hpp"
 #include "poly/ntt.hpp"
 
 namespace camelot {
@@ -29,14 +31,6 @@ bool detect_avx512() noexcept {
 #endif
 }
 
-bool detect_avx512ifma() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  return detect_avx512() && __builtin_cpu_supports("avx512ifma");
-#else
-  return false;
-#endif
-}
-
 // "Set" means non-empty and not exactly "0" — the shared parse for
 // every CAMELOT_FORCE_* override.
 bool env_flag_set(const char* name) noexcept {
@@ -56,26 +50,27 @@ bool detect_512_runtime_enabled() noexcept {
 }
 
 // The downgrade ladder, applied once at handle construction so every
-// consumer can branch on backend() alone.
-//
-// kMontgomeryAvx512 falls back to kMontgomeryAvx2 when this process
-// cannot run the 8-lane kernels (no AVX-512F/DQ, CAMELOT_FORCE_SCALAR
-// or CAMELOT_FORCE_AVX2 set) or for q == 2 (identity-domain mode).
-// Unlike the AVX2 set it is *kept* for wide primes: the vpmullq REDC
-// and the Shoup-tabled butterflies beat scalar mulx at q >= 2^31.
-//
-// kMontgomeryAvx2 falls back to kMontgomery when it cannot run (no
-// AVX2 / forced scalar, or q == 2) or would not pay: for q >= 2^31
-// the 4-lane REDC needs 11 vpmuludq per 4 products and roughly ties
-// scalar mulx, while the framework's own CRT primes (chosen just
-// above the code length) always take the 5-vpmuludq narrow path.
-FieldBackend resolve(FieldBackend requested, u64 modulus) noexcept {
-  if (requested == FieldBackend::kMontgomeryAvx512 &&
-      (!simd512_runtime_enabled() || modulus == 2)) {
+// consumer can branch on backend() alone; `*kernels` receives the
+// table the resolved backend runs on (nullptr for the scalar ones).
+// A lane rung is kept only when this process can run it and it has a
+// table for q: AVX-512 has narrow and wide tables, AVX2 only a narrow
+// one (for q >= 2^31 the 4-lane REDC ties scalar mulx), and neither
+// has one for q == 2 (identity-domain mode).
+FieldBackend resolve(FieldBackend requested, u64 modulus,
+                     const MontKernels** kernels) noexcept {
+  *kernels = nullptr;
+  if (requested == FieldBackend::kMontgomeryAvx512) {
+    if (simd512_runtime_enabled() &&
+        (*kernels = avx512_kernels(modulus)) != nullptr) {
+      return requested;
+    }
     requested = FieldBackend::kMontgomeryAvx2;
   }
-  if (requested == FieldBackend::kMontgomeryAvx2 &&
-      (!simd_runtime_enabled() || modulus == 2 || (modulus >> 31) != 0)) {
+  if (requested == FieldBackend::kMontgomeryAvx2) {
+    if (simd_runtime_enabled() &&
+        (*kernels = avx2_kernels(modulus)) != nullptr) {
+      return requested;
+    }
     return FieldBackend::kMontgomery;
   }
   return requested;
@@ -90,11 +85,6 @@ bool cpu_supports_avx2() noexcept {
 
 bool cpu_supports_avx512() noexcept {
   static const bool has = detect_avx512();
-  return has;
-}
-
-bool cpu_supports_avx512ifma() noexcept {
-  static const bool has = detect_avx512ifma();
   return has;
 }
 
@@ -115,17 +105,15 @@ FieldBackend best_backend() noexcept {
 }
 
 FieldOps::FieldOps(const PrimeField& f, FieldBackend backend)
-    : mont_(std::make_shared<const MontgomeryField>(f)),
-      backend_(resolve(backend, f.modulus())) {}
+    : FieldOps(MontgomeryField(f), backend) {}
 
-FieldOps::FieldOps(std::shared_ptr<const MontgomeryField> mont,
-                   FieldBackend backend, std::shared_ptr<const NttTables> ntt)
-    : mont_(std::move(mont)), ntt_(std::move(ntt)) {
-  if (mont_ == nullptr) {
-    throw std::invalid_argument("FieldOps: null Montgomery context");
-  }
-  backend_ = resolve(backend, mont_->modulus());
-  if (ntt_ != nullptr && ntt_->modulus() != mont_->modulus()) {
+FieldOps::FieldOps(const MontgomeryField& mont, FieldBackend backend,
+                   std::shared_ptr<const NttTables> ntt)
+    : mont_(mont), ntt_(std::move(ntt)) {
+  const MontKernels* kernels = nullptr;
+  backend_ = resolve(backend, mont_.modulus(), &kernels);
+  mont_ = mont_.with_kernels(kernels);
+  if (ntt_ != nullptr && ntt_->modulus() != mont_.modulus()) {
     throw std::invalid_argument("FieldOps: twiddle table modulus mismatch");
   }
 }

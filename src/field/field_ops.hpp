@@ -1,18 +1,19 @@
 // Type-erased field backend handle — the single seam through which
 // the framework selects its arithmetic backend.
 //
-// PR 1 made every polynomial kernel a template over the backend
-// (PrimeField or MontgomeryField); FieldOps erases that seam at the
-// API layer. A handle carries one shared Montgomery context for a
-// prime (plus optional NTT twiddle tables, see FieldCache), and a
-// FieldBackend tag saying which arithmetic pipeline the decode/verify
-// stages should instantiate. Consumers that used to pick between a
-// plain method and its *_mont twin now take a FieldOps and follow the
-// backend it names; Montgomery is the default everywhere.
+// Every polynomial kernel is a template over two fields: PrimeField
+// (canonical words, division reduction; the reference) and
+// MontgomeryField (the fast one). FieldOps erases that seam at the API
+// layer. A handle carries the Montgomery context for a prime (plus
+// optional NTT twiddle tables, see FieldCache) and a FieldBackend tag
+// saying which of the two the decode/verify stages should run. The
+// lane backends are not separate types: resolving one picks the
+// context's kernel table once (field/montgomery.hpp), and every
+// consumer of mont() runs on it without knowing which it is.
 //
-// The handle is a value type (two shared_ptrs + a tag): copy it
-// freely. Hot kernels still copy the underlying MontgomeryField
-// by value into registers exactly as before.
+// The handle is a value type (a context, a shared_ptr and a tag):
+// copy it freely. Hot kernels still copy the underlying
+// MontgomeryField by value into registers exactly as before.
 #pragma once
 
 #include <memory>
@@ -24,26 +25,23 @@ namespace camelot {
 class NttTables;
 
 enum class FieldBackend {
-  // Montgomery-domain pipeline (two 64x64 multiplies + shift per mul).
+  // Montgomery-domain pipeline (two 64x64 multiplies + shift per mul),
+  // scalar batch loops.
   kMontgomery,
   // Canonical representatives, hardware-division reduction. Kept for
   // A/B measurement and as the reference in differential tests.
   kPrimeDivision,
-  // Montgomery-domain pipeline with the hot batch kernels running on
-  // AVX2 4xu64 lanes (field/montgomery_simd.hpp). Values are the same
-  // Montgomery-domain u64s as kMontgomery and every kernel computes
-  // bit-identical results; only the instruction mix differs.
-  // Requesting it constructs a handle that *resolves* at runtime:
-  // without AVX2, with CAMELOT_FORCE_SCALAR set, or for primes where
-  // the lanes cannot beat scalar mulx (q >= 2^31; the framework's CRT
-  // primes sit far below), the handle silently degrades to
-  // kMontgomery, so it is always safe to ask for.
+  // Montgomery-domain pipeline with the batch kernels on the AVX2
+  // table (4 u64 lanes, field/montgomery_simd.hpp). Same values as
+  // kMontgomery, bit for bit; only the instruction mix differs. A
+  // request *resolves* at runtime and silently degrades to kMontgomery
+  // without AVX2, with CAMELOT_FORCE_SCALAR set, or where the table
+  // has no kernels (q >= 2^31, where 4 lanes tie scalar mulx, and
+  // q == 2), so it is always safe to ask for.
   kMontgomeryAvx2,
-  // Montgomery-domain pipeline on AVX-512 8xu64 lanes
-  // (field/montgomery_avx512.hpp): vpmullq 64-bit products, and on
-  // IFMA hosts a 52-bit vpmadd52 REDC for the planner primes. Unlike
-  // the AVX2 lane set it stays enabled for wide primes (q >= 2^31),
-  // where the 8-lane REDC and the Shoup-tabled NTT beat scalar mulx.
+  // Montgomery-domain pipeline on an AVX-512 table (8 u64 lanes,
+  // field/montgomery_avx512.hpp): REDC-32 chain for narrow primes,
+  // vpmullq REDC for wide ones, where 8 lanes beat scalar mulx.
   // Resolution degrades a request to kMontgomeryAvx2 (and onward to
   // kMontgomery) when the CPU lacks AVX-512F/DQ, when
   // CAMELOT_FORCE_SCALAR or CAMELOT_FORCE_AVX2 is set, or for q == 2.
@@ -65,8 +63,7 @@ bool simd512_runtime_enabled() noexcept;
 
 // Raw CPUID bits, ignoring the environment overrides.
 bool cpu_supports_avx2() noexcept;
-bool cpu_supports_avx512() noexcept;      // AVX-512F + AVX-512DQ
-bool cpu_supports_avx512ifma() noexcept;  // AVX-512IFMA52
+bool cpu_supports_avx512() noexcept;  // AVX-512F + AVX-512DQ
 
 // The fastest backend this process can run: kMontgomeryAvx512 when
 // simd512_runtime_enabled(), then kMontgomeryAvx2 when
@@ -82,32 +79,26 @@ class FieldOps {
   FieldOps(const PrimeField& f,  // NOLINT(google-explicit-constructor)
            FieldBackend backend = FieldBackend::kMontgomery);
 
-  FieldOps(std::shared_ptr<const MontgomeryField> mont,
-           FieldBackend backend = FieldBackend::kMontgomery,
+  // Resolves `backend` for mont's prime and keeps a copy of mont on
+  // the matching kernel table.
+  FieldOps(const MontgomeryField& mont, FieldBackend backend,
            std::shared_ptr<const NttTables> ntt = nullptr);
 
-  u64 modulus() const noexcept { return mont_->modulus(); }
-  // The *resolved* backend: a SIMD request comes back downgraded
+  u64 modulus() const noexcept { return mont_.modulus(); }
+  // The *resolved* backend: a lane request comes back downgraded
   // (kMontgomeryAvx512 -> kMontgomeryAvx2 -> kMontgomery) when the
   // process cannot run — or would not profit from — the wider lanes.
   FieldBackend backend() const noexcept { return backend_; }
-  // True iff the hot kernels run a lane-wide pipeline (AVX2 or
-  // AVX-512). Consumers that need the exact lane set should branch on
-  // backend() (see field/backend_dispatch.hpp).
-  bool simd() const noexcept {
-    return backend_ == FieldBackend::kMontgomeryAvx2 ||
-           backend_ == FieldBackend::kMontgomeryAvx512;
-  }
+  // True iff mont() runs its batch kernels on a lane table.
+  bool simd() const noexcept { return mont_.kernels() != nullptr; }
 
   // The canonical-representative view (always available).
-  const PrimeField& prime() const noexcept { return mont_->base(); }
-  // The Montgomery-domain view (always available; count/ evaluators
-  // and the default decode pipeline run on it).
-  const MontgomeryField& mont() const noexcept { return *mont_; }
+  const PrimeField& prime() const noexcept { return mont_.base(); }
+  // The Montgomery-domain view on the resolved kernel table (always
+  // available; count/ evaluators and the default decode pipeline run
+  // on it).
+  const MontgomeryField& mont() const noexcept { return mont_; }
 
-  const std::shared_ptr<const MontgomeryField>& mont_ptr() const noexcept {
-    return mont_;
-  }
   // Shared twiddle tables for this prime, or nullptr when the handle
   // was built outside a FieldCache.
   const std::shared_ptr<const NttTables>& ntt_tables() const noexcept {
@@ -121,7 +112,7 @@ class FieldOps {
   }
 
  private:
-  std::shared_ptr<const MontgomeryField> mont_;
+  MontgomeryField mont_;
   std::shared_ptr<const NttTables> ntt_;
   FieldBackend backend_;
 };

@@ -1,24 +1,18 @@
-// AVX-512 implementations of the MontgomeryAvx512Field batch kernels.
+// AVX-512 implementations of the narrow and wide kernel tables.
 //
 // This translation unit is compiled with -mavx512f -mavx512dq (see
 // CMakeLists.txt) and nothing else in the build is, so every 512-bit
-// instruction in the binary is confined here (and to the IFMA TU,
-// field/montgomery_avx512_ifma.cpp). Entry points are reached only
-// after FieldOps runtime dispatch has confirmed the CPU can run them;
-// on targets built without the extensions the same entry points
-// compile to the scalar loops under #else, so the link never breaks.
+// instruction in the binary is confined here. The tables are reached
+// only after FieldOps has confirmed the CPU can run them.
 //
 // Vector arithmetic notes (8 lanes of u64):
 //  * AVX-512DQ brings a true 64x64 low multiplier (vpmullq), so wide
 //    REDC costs 10 multiply-class instructions per 8 lanes — low
 //    products via vpmullq, high halves assembled from 4 vpmuludq
-//    partials — against 11 vpmuludq per 4 lanes on AVX2. That, plus
-//    the doubled width, is what makes this backend profitable for
-//    wide primes where AVX2 resolves back to scalar.
-//  * Narrow moduli (q < 2^31) reuse the chained REDC-32 sequence from
-//    the AVX2 backend (5 vpmuludq per 8 lanes); on IFMA hosts the
-//    mont_mul-bearing kernels route to the vpmadd52 variants in
-//    field/montgomery_avx512_ifma.cpp instead.
+//    partials. That, plus the doubled width, is what makes this
+//    backend profitable for wide primes where AVX2 has no table.
+//  * Narrow moduli (q < 2^31) reuse the chained REDC-32 sequence of
+//    the AVX2 table (5 vpmuludq per 8 lanes).
 //  * The Shoup butterfly needs only 6 multiply-class instructions per
 //    8 wide lanes (4-partial mulhi + two vpmullq) and 4 vpmuludq per
 //    8 narrow lanes.
@@ -28,7 +22,6 @@
 #include "field/montgomery_avx512.hpp"
 
 #include "field/field_ops.hpp"
-#include "field/shoup.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 #include <immintrin.h>
@@ -44,15 +37,11 @@
 
 namespace camelot {
 
-MontgomeryAvx512Field::MontgomeryAvx512Field(const MontgomeryField& m,
-                                             bool allow_ifma)
-    : m_(m),
-      narrow_((m.modulus() >> 31) == 0),
-      // The 52+12-bit REDC chain lands in [0, q + 2^20) before its
-      // final conditional subtract, so it needs q > 2^20 on top of
-      // the narrow bound; the tiny test primes fall back to REDC-32.
-      ifma_(allow_ifma && narrow_ && (m.modulus() >> 21) != 0 &&
-            cpu_supports_avx512ifma()) {}
+MontgomeryAvx512Field::MontgomeryAvx512Field(const MontgomeryField& m)
+    : m_(m) {
+  const MontKernels* k = avx512_kernels(m.modulus());
+  if (k != nullptr && cpu_supports_avx512()) m_ = m.with_kernels(k);
+}
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 
@@ -273,75 +262,8 @@ void ntt_stage_shoup_impl(const MontgomeryField& m, u64* a, std::size_t n,
   }
 }
 
-}  // namespace
-
-void MontgomeryAvx512Field::mul_vec(const u64* a, const u64* b, u64* out,
-                                    std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], b[i]);
-    return;
-  }
-  if (ifma_) {
-    avx512_ifma::mul_vec(m, a, b, out, n);
-  } else if (narrow_) {
-    mul_vec_impl<true>(m, a, b, out, n);
-  } else {
-    mul_vec_impl<false>(m, a, b, out, n);
-  }
-}
-
-void MontgomeryAvx512Field::scale_vec(const u64* a, u64 s, u64* out,
-                                      std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], s);
-    return;
-  }
-  if (ifma_) {
-    avx512_ifma::scale_vec(m, a, s, out, n);
-  } else if (narrow_) {
-    scale_vec_impl<true>(m, a, s, out, n);
-  } else {
-    scale_vec_impl<false>(m, a, s, out, n);
-  }
-}
-
-void MontgomeryAvx512Field::addmul_inplace(u64* r, u64 s, const u64* b,
-                                           std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
-    return;
-  }
-  if (ifma_) {
-    avx512_ifma::addmul_inplace(m, r, s, b, n);
-  } else if (narrow_) {
-    addmul_impl<true>(m, r, s, b, n);
-  } else {
-    addmul_impl<false>(m, r, s, b, n);
-  }
-}
-
-void MontgomeryAvx512Field::submul_inplace(u64* r, u64 s, const u64* b,
-                                           std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
-    return;
-  }
-  if (ifma_) {
-    avx512_ifma::submul_inplace(m, r, s, b, n);
-  } else if (narrow_) {
-    submul_impl<true>(m, r, s, b, n);
-  } else {
-    submul_impl<false>(m, r, s, b, n);
-  }
-}
-
-void MontgomeryAvx512Field::add_inplace(u64* r, const u64* b,
-                                        std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
+void add_inplace(const MontgomeryField& m, u64* r, const u64* b,
+                 std::size_t n) noexcept {
   const __m512i q = _mm512_set1_epi64(static_cast<long long>(m.modulus()));
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -350,159 +272,40 @@ void MontgomeryAvx512Field::add_inplace(u64* r, const u64* b,
   for (; i < n; ++i) r[i] = m.add(r[i], b[i]);
 }
 
-void MontgomeryAvx512Field::sub_from_scalar(u64 x, const u64* a, u64* out,
-                                            std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
+void sub_from_scalar(const MontgomeryField& m, u64 x, const u64* a, u64* out,
+                     std::size_t n) noexcept {
   const __m512i q = _mm512_set1_epi64(static_cast<long long>(m.modulus()));
   const __m512i vx = _mm512_set1_epi64(static_cast<long long>(x));
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    store8(out + i, mod_sub(vx, load8(a + i), q));
-  }
+  for (; i + 8 <= n; i += 8) store8(out + i, mod_sub(vx, load8(a + i), q));
   for (; i < n; ++i) out[i] = m.sub(x, a[i]);
 }
 
-u64 MontgomeryAvx512Field::dot(const u64* a, const u64* b,
-                               std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  if (m.trivial()) {
-    u64 acc = 0;
-    for (std::size_t i = 0; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
-    return acc;
-  }
-  if (ifma_) return avx512_ifma::dot(m, a, b, n);
-  return narrow_ ? dot_impl<true>(m, a, b, n) : dot_impl<false>(m, a, b, n);
-}
+template <bool kNarrow>
+constexpr MontKernels kTable = {
+    .name = kNarrow ? "avx512-narrow" : "avx512-wide",
+    .lanes = 8,
+    .mul_vec = &mul_vec_impl<kNarrow>,
+    .scale_vec = &scale_vec_impl<kNarrow>,
+    .addmul_inplace = &addmul_impl<kNarrow>,
+    .submul_inplace = &submul_impl<kNarrow>,
+    .add_inplace = &add_inplace,
+    .sub_from_scalar = &sub_from_scalar,
+    .dot = &dot_impl<kNarrow>,
+    .ntt_stage = &ntt_stage_impl<kNarrow>,
+    .ntt_stage_shoup = &ntt_stage_shoup_impl<kNarrow>,
+};
 
-void MontgomeryAvx512Field::ntt_stage(u64* a, std::size_t n, std::size_t len,
-                                      const u64* tw) const noexcept {
-  const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
-  if (m.trivial() || half < 8) {
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const u64 u = a[i + j];
-        const u64 v = m.mul(a[i + j + half], tw[j]);
-        a[i + j] = m.add(u, v);
-        a[i + j + half] = m.sub(u, v);
-      }
-    }
-    return;
-  }
-  if (ifma_) {
-    avx512_ifma::ntt_stage(m, a, n, len, tw);
-  } else if (narrow_) {
-    ntt_stage_impl<true>(m, a, n, len, tw);
-  } else {
-    ntt_stage_impl<false>(m, a, n, len, tw);
-  }
-}
+}  // namespace
 
-void MontgomeryAvx512Field::ntt_stage_shoup(u64* a, std::size_t n,
-                                            std::size_t len, const u64* op,
-                                            const u64* qt) const noexcept {
-  const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
-  const u64 q = m.modulus();
-  if (m.trivial() || half < 8) {
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const u64 u = a[i + j];
-        const u64 v = shoup_mul(a[i + j + half], op[j], qt[j], q);
-        a[i + j] = m.add(u, v);
-        a[i + j + half] = m.sub(u, v);
-      }
-    }
-    return;
-  }
-  if (narrow_) {
-    ntt_stage_shoup_impl<true>(m, a, n, len, op, qt);
-  } else {
-    ntt_stage_shoup_impl<false>(m, a, n, len, op, qt);
-  }
+const MontKernels* avx512_kernels(u64 q) noexcept {
+  if (q == 2) return nullptr;
+  return (q >> 31) == 0 ? &kTable<true> : &kTable<false>;
 }
 
 #else  // !(defined(__AVX512F__) && defined(__AVX512DQ__))
 
-// Portable fallbacks: on targets where this TU is not built with
-// AVX-512, the batch entry points are plain scalar loops. Runtime
-// dispatch (simd512_runtime_enabled) never selects kMontgomeryAvx512
-// on such hosts, so these exist to keep the link whole — and correct,
-// should anyone call them directly.
-
-void MontgomeryAvx512Field::mul_vec(const u64* a, const u64* b, u64* out,
-                                    std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], b[i]);
-}
-
-void MontgomeryAvx512Field::scale_vec(const u64* a, u64 s, u64* out,
-                                      std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], s);
-}
-
-void MontgomeryAvx512Field::addmul_inplace(u64* r, u64 s, const u64* b,
-                                           std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
-}
-
-void MontgomeryAvx512Field::submul_inplace(u64* r, u64 s, const u64* b,
-                                           std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
-}
-
-void MontgomeryAvx512Field::add_inplace(u64* r, const u64* b,
-                                        std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) r[i] = m.add(r[i], b[i]);
-}
-
-void MontgomeryAvx512Field::sub_from_scalar(u64 x, const u64* a, u64* out,
-                                            std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = m.sub(x, a[i]);
-}
-
-u64 MontgomeryAvx512Field::dot(const u64* a, const u64* b,
-                               std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  u64 acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
-  return acc;
-}
-
-void MontgomeryAvx512Field::ntt_stage(u64* a, std::size_t n, std::size_t len,
-                                      const u64* tw) const noexcept {
-  const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const u64 u = a[i + j];
-      const u64 v = m.mul(a[i + j + half], tw[j]);
-      a[i + j] = m.add(u, v);
-      a[i + j + half] = m.sub(u, v);
-    }
-  }
-}
-
-void MontgomeryAvx512Field::ntt_stage_shoup(u64* a, std::size_t n,
-                                            std::size_t len, const u64* op,
-                                            const u64* qt) const noexcept {
-  const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
-  const u64 q = m.modulus();
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const u64 u = a[i + j];
-      const u64 v = shoup_mul(a[i + j + half], op[j], qt[j], q);
-      a[i + j] = m.add(u, v);
-      a[i + j + half] = m.sub(u, v);
-    }
-  }
-}
+const MontKernels* avx512_kernels(u64) noexcept { return nullptr; }
 
 #endif  // defined(__AVX512F__) && defined(__AVX512DQ__)
 

@@ -1,162 +1,47 @@
-// AVX-512 lane-wide Montgomery backend (FieldBackend::kMontgomeryAvx512).
+// AVX-512 kernel tables (FieldBackend::kMontgomeryAvx512).
 //
-// MontgomeryAvx512Field is a drop-in for MontgomeryField (and for
-// MontgomeryAvx2Field) in every templated kernel: values live in the
-// same Montgomery domain, the scalar surface delegates to the wrapped
-// context, and every batch kernel computes bit-identical results to
-// the scalar loop it replaces. What changes is the instruction mix:
-// eight u64 lanes per iteration, with true 64-bit mullo products from
-// vpmullq (AVX-512DQ) instead of the AVX2 three-vpmuludq assembly.
+// Eight u64 lanes per iteration, with true 64-bit mullo products from
+// vpmullq (AVX-512DQ). Two tables, one per prime width, both returning
+// the scalar loops' words bit for bit:
+//  * Narrow (q < 2^31): two chained REDC-32 steps, 5 vpmuludq per 8
+//    lanes — the widened twin of the AVX2 table.
+//  * Wide (q < 2^62): generic REDC with vpmullq low products — 10
+//    multiply-class instructions per 8 lanes, which (unlike a 4-lane
+//    AVX2 REDC) beats scalar mulx. This is why FieldOps keeps
+//    kMontgomeryAvx512 for wide primes.
+// The Shoup butterfly (ntt_stage_shoup) takes canonical twiddles with
+// precomputed quotients (field/shoup.hpp): one mulhi + two mullo per
+// lane, 6 multiply-class instructions per 8 wide lanes against 10 for
+// the REDC butterfly, and the same words by the Shoup identity.
 //
-// Kernel selection inside the class, narrowest first:
-//  * IFMA path (q in [2^21, 2^31), CPU reports AVX-512IFMA): REDC by
-//    2^64 as a 52-bit step (vpmadd52luq for m = t * -q^{-1} mod 2^52,
-//    vpmadd52huq for the q-multiple fold) chased by a 12-bit step —
-//    52 + 12 = 64, so it computes exactly the same t*R^{-1} mod q
-//    function, landing in [0, 2q) before one conditional subtract
-//    (which needs q > 2^20, hence the lower bound).
-//  * Narrow path (q < 2^31): two chained REDC-32 steps, 5 vpmuludq
-//    per 8 lanes — the widened twin of the AVX2 narrow path.
-//  * Wide path (q < 2^62): generic REDC with vpmullq low products —
-//    10 multiply-class instructions per 8 lanes, which (unlike the
-//    AVX2 11-vpmuludq wide path) beats scalar mulx. This is why
-//    FieldOps keeps kMontgomeryAvx512 enabled for wide primes.
-//
-// The Shoup butterfly (ntt_stage_shoup) takes *canonical* twiddles
-// with precomputed quotients (see field/shoup.hpp): one mulhi + two
-// mullo per lane — 6 multiply-class instructions per 8 wide lanes
-// against 10 for the REDC butterfly — and produces the same words as
-// the REDC path by the Shoup identity.
-//
-// Batch definitions live in field/montgomery_avx512.cpp (compiled
-// with -mavx512f -mavx512dq) and the IFMA variants in
-// field/montgomery_avx512_ifma.cpp (-mavx512ifma on top); everything
-// else in the build stays portable, and runtime dispatch (FieldOps
-// resolution + the ifma constructor flag) keeps hosts without the
-// ISA off these entry points. On targets compiled without the
-// extensions the same symbols exist as scalar fallbacks.
+// The kernels live in field/montgomery_avx512.cpp (compiled with
+// -mavx512f -mavx512dq; nothing else in the build is). Built without
+// those extensions the lookup returns nullptr and resolution falls
+// back a rung. Callers must check the CPU first (FieldOps does).
 #pragma once
-
-#include <cstddef>
-#include <vector>
 
 #include "field/montgomery.hpp"
 
 namespace camelot {
 
+// The AVX-512 table for q's width: non-null for every q > 2 in a
+// build with AVX-512 kernels.
+const MontKernels* avx512_kernels(u64 q) noexcept;
+
+// Selects the AVX-512 table for a context: field() is m on that table
+// when the CPU and the build have it, and m unchanged otherwise.
 class MontgomeryAvx512Field {
  public:
-  static constexpr std::size_t kLanes = 8;
+  explicit MontgomeryAvx512Field(const MontgomeryField& m);
 
-  // `allow_ifma` exists for A/B tests of the two narrow REDC
-  // sequences; production callers leave it on and the constructor
-  // resolves against the CPU (cpu_supports_avx512ifma) and the
-  // modulus window the 52+12-bit chain is valid for.
-  explicit MontgomeryAvx512Field(const MontgomeryField& m,
-                                 bool allow_ifma = true);
-
-  // True when the REDC-32 chain applies (q < 2^31).
-  bool narrow() const noexcept { return narrow_; }
-  // True when the vpmadd52 REDC sequence is selected.
-  bool ifma() const noexcept { return ifma_; }
-
-  // The wrapped scalar context (same domain, same constants).
-  const MontgomeryField& scalar() const noexcept { return m_; }
-  const PrimeField& base() const noexcept { return m_.base(); }
-  u64 modulus() const noexcept { return m_.modulus(); }
-  int two_adicity() const noexcept { return m_.two_adicity(); }
-
-  // ---- Scalar surface (delegates; used by the non-batch parts of the
-  // templated kernels and by the tails of the batch kernels) ----------
-  u64 to_mont(u64 a) const noexcept { return m_.to_mont(a); }
-  u64 from_mont(u64 a) const noexcept { return m_.from_mont(a); }
-  std::vector<u64> to_mont_vec(std::span<const u64> xs) const {
-    return m_.to_mont_vec(xs);
-  }
-  std::vector<u64> from_mont_vec(std::span<const u64> xs) const {
-    return m_.from_mont_vec(xs);
-  }
-  void to_mont_inplace(std::span<u64> xs) const noexcept {
-    m_.to_mont_inplace(xs);
-  }
-  void from_mont_inplace(std::span<u64> xs) const noexcept {
-    m_.from_mont_inplace(xs);
-  }
-  u64 zero() const noexcept { return m_.zero(); }
-  u64 one() const noexcept { return m_.one(); }
-  u64 from_u64(u64 v) const noexcept { return m_.from_u64(v); }
-  u64 reduce(u64 v) const noexcept { return m_.reduce(v); }
-  u64 add(u64 a, u64 b) const noexcept { return m_.add(a, b); }
-  u64 sub(u64 a, u64 b) const noexcept { return m_.sub(a, b); }
-  u64 neg(u64 a) const noexcept { return m_.neg(a); }
-  u64 mul(u64 a, u64 b) const noexcept { return m_.mul(a, b); }
-  u64 sqr(u64 a) const noexcept { return m_.sqr(a); }
-  u64 pow(u64 a, u64 e) const noexcept { return m_.pow(a, e); }
-  u64 inv(u64 a) const { return m_.inv(a); }
-  u64 div(u64 a, u64 b) const { return m_.div(a, b); }
-  std::vector<u64> batch_inv(const std::vector<u64>& xs) const {
-    return m_.batch_inv(xs);
-  }
-  u64 root_of_unity(int k) const { return m_.root_of_unity(k); }
-
-  // ---- Batch kernels (AVX-512; defined in montgomery_avx512.cpp) ----
-  // All take Montgomery-domain values, handle arbitrary n with a
-  // scalar tail, tolerate out == a (in-place), and fall back to the
-  // scalar loop wholesale when the context is trivial (q == 2).
-
-  // out[i] = a[i] * b[i]
-  void mul_vec(const u64* a, const u64* b, u64* out,
-               std::size_t n) const noexcept;
-  // out[i] = a[i] * s
-  void scale_vec(const u64* a, u64 s, u64* out, std::size_t n) const noexcept;
-  // r[i] = r[i] + s * b[i]   (schoolbook/Karatsuba row push)
-  void addmul_inplace(u64* r, u64 s, const u64* b,
-                      std::size_t n) const noexcept;
-  // r[i] = r[i] - s * b[i]   (polynomial remainder row elimination)
-  void submul_inplace(u64* r, u64 s, const u64* b,
-                      std::size_t n) const noexcept;
-  // r[i] = r[i] + b[i]       (unit-weight Yates push)
-  void add_inplace(u64* r, const u64* b, std::size_t n) const noexcept;
-  // out[i] = x - a[i]        (Lagrange node differences)
-  void sub_from_scalar(u64 x, const u64* a, u64* out,
-                       std::size_t n) const noexcept;
-  // sum_i a[i] * b[i] (mod-q addition is exact, so lane re-association
-  // still returns the same u64 as the sequential fold)
-  u64 dot(const u64* a, const u64* b, std::size_t n) const noexcept;
-  // One radix-2 NTT stage over bit-reversed data: for every block of
-  // `len` elements of a[0..n), butterflies a[j], a[j+len/2] with the
-  // contiguous stage twiddles tw[0..len/2) (Montgomery domain, REDC).
-  void ntt_stage(u64* a, std::size_t n, std::size_t len,
-                 const u64* tw) const noexcept;
-  // Same stage through the Shoup tables: op[j] is the canonical
-  // twiddle, qt[j] its precomputed quotient (field/shoup.hpp). Same
-  // output words as ntt_stage with the matching Montgomery twiddles.
-  void ntt_stage_shoup(u64* a, std::size_t n, std::size_t len,
-                       const u64* op, const u64* qt) const noexcept;
+  const MontgomeryField& field() const noexcept { return m_; }
+  // Always false: the 52-bit IFMA REDC chain lost to the REDC-32
+  // chain on the hosts that offered it and was removed. Kept so host
+  // fingerprints that report it keep building.
+  bool ifma() const noexcept { return false; }
 
  private:
   MontgomeryField m_;
-  bool narrow_;
-  bool ifma_;
 };
-
-// Internal IFMA kernel set (field/montgomery_avx512_ifma.cpp, the
-// only TU compiled with -mavx512ifma): the mont_mul-bearing batch
-// loops with the 52+12-bit REDC chain. Reached only through the
-// class dispatch above, never directly.
-namespace avx512_ifma {
-void mul_vec(const MontgomeryField& m, const u64* a, const u64* b, u64* out,
-             std::size_t n) noexcept;
-void scale_vec(const MontgomeryField& m, const u64* a, u64 s, u64* out,
-               std::size_t n) noexcept;
-void addmul_inplace(const MontgomeryField& m, u64* r, u64 s, const u64* b,
-                    std::size_t n) noexcept;
-void submul_inplace(const MontgomeryField& m, u64* r, u64 s, const u64* b,
-                    std::size_t n) noexcept;
-u64 dot(const MontgomeryField& m, const u64* a, const u64* b,
-        std::size_t n) noexcept;
-void ntt_stage(const MontgomeryField& m, u64* a, std::size_t n,
-               std::size_t len, const u64* tw) noexcept;
-}  // namespace avx512_ifma
 
 }  // namespace camelot

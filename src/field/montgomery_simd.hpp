@@ -1,147 +1,29 @@
-// AVX2 lane-wide Montgomery backend (FieldBackend::kMontgomeryAvx2).
+// AVX2 kernel table (FieldBackend::kMontgomeryAvx2).
 //
-// MontgomeryAvx2Field is a drop-in for MontgomeryField in every
-// templated kernel: values live in the same Montgomery domain, the
-// scalar surface delegates to the wrapped context, and every batch
-// kernel computes bit-identical results to the scalar loop it
-// replaces (integer arithmetic mod q is exact, so even re-associated
-// reductions like dot() land on the same u64). What changes is the
-// instruction mix: the batch entry points below process four u64
-// lanes per iteration, assembling each 64-bit REDC from vpmuludq
-// 32x32 partial products.
+// Four u64 lanes per iteration, each 64-bit product assembled from
+// vpmuludq 32x32 partial products. The table exists for *narrow*
+// primes only: for q < 2^31 the REDC by 2^64 factors into two chained
+// REDC-32 steps (word-by-word Montgomery), 5 vpmuludq per 4 products
+// against 4 scalar mulx-based multiplies, computing exactly the same
+// t*R^{-1} mod q function, so the output words match the scalar loops
+// bit for bit. The framework's CRT primes are chosen just above the
+// code length (core/prime_plan.cpp), so every real session runs on
+// this path. For q >= 2^31 a 4-lane REDC needs 11 vpmuludq per 4
+// products and ties scalar mulx, so there is no wide AVX2 table and
+// FieldOps resolves such requests to scalar.
 //
-// The win comes from the *narrow* path. For q < 2^31 the REDC by
-// 2^64 factors into two chained REDC-32 steps (word-by-word
-// Montgomery), which costs only 5 vpmuludq per 4 products — a large
-// speedup over 4 scalar mulx-based multiplies — while computing
-// exactly the same t*R^{-1} mod q function, so the output words
-// match the scalar backend bit for bit. The framework's CRT primes
-// are chosen just above the code length (core/prime_plan.cpp), so
-// every real session runs on this path. For q >= 2^31 the generic
-// lane REDC needs 11 vpmuludq per 4 products, which roughly ties
-// the scalar pipeline on current cores — FieldOps therefore resolves
-// kMontgomeryAvx2 to kMontgomery for wide primes, and the wide lane
-// kernels here serve as a correct (and tested) fallback for direct
-// users of this class.
-//
-// The batch definitions live in field/montgomery_simd.cpp — the only
-// translation unit compiled with -mavx2, so the rest of the build
-// stays portable. Callers must not invoke the batch kernels unless
-// dispatch allows it: FieldOps resolves a kMontgomeryAvx2 request to
-// kMontgomery when the CPU lacks AVX2, when CAMELOT_FORCE_SCALAR is
-// set, when q >= 2^31 (scalar is faster there), or when q == 2
-// (identity-domain mode), so routing on FieldOps::simd() is always
-// safe.
+// The kernels live in field/montgomery_simd.cpp, the only translation
+// unit compiled with -mavx2, so the rest of the build stays portable.
+// Built without AVX2 the lookup returns nullptr and resolution falls
+// back to scalar. Callers must check the CPU first (FieldOps does).
 #pragma once
-
-#include <cstddef>
-#include <vector>
 
 #include "field/montgomery.hpp"
 
 namespace camelot {
 
-// Advertises lane-wide batch kernels to the templated polynomial and
-// Yates kernels: `if constexpr (FieldHasBatchKernels<Field>)` routes
-// their mul-heavy inner loops through the batch entry points.
-template <class Field>
-concept FieldHasBatchKernels =
-    requires(const Field& f, u64* r, const u64* a, u64 s, std::size_t n) {
-      f.mul_vec(a, a, r, n);
-      f.scale_vec(a, s, r, n);
-      f.addmul_inplace(r, s, a, n);
-      f.submul_inplace(r, s, a, n);
-      f.add_inplace(r, a, n);
-    };
-
-class MontgomeryAvx2Field {
- public:
-  static constexpr std::size_t kLanes = 4;
-
-  explicit MontgomeryAvx2Field(const MontgomeryField& m)
-      : m_(m), narrow_(m.modulus() >> 31 == 0) {}
-
-  // True when the 5-vpmuludq double-REDC32 path applies (q < 2^31).
-  bool narrow() const noexcept { return narrow_; }
-
-  // The wrapped scalar context (same domain, same constants).
-  const MontgomeryField& scalar() const noexcept { return m_; }
-  const PrimeField& base() const noexcept { return m_.base(); }
-  u64 modulus() const noexcept { return m_.modulus(); }
-  int two_adicity() const noexcept { return m_.two_adicity(); }
-
-  // ---- Scalar surface (delegates; used by the non-batch parts of the
-  // templated kernels and by the tails of the batch kernels) ----------
-  u64 to_mont(u64 a) const noexcept { return m_.to_mont(a); }
-  u64 from_mont(u64 a) const noexcept { return m_.from_mont(a); }
-  std::vector<u64> to_mont_vec(std::span<const u64> xs) const {
-    return m_.to_mont_vec(xs);
-  }
-  std::vector<u64> from_mont_vec(std::span<const u64> xs) const {
-    return m_.from_mont_vec(xs);
-  }
-  void to_mont_inplace(std::span<u64> xs) const noexcept {
-    m_.to_mont_inplace(xs);
-  }
-  void from_mont_inplace(std::span<u64> xs) const noexcept {
-    m_.from_mont_inplace(xs);
-  }
-  u64 zero() const noexcept { return m_.zero(); }
-  u64 one() const noexcept { return m_.one(); }
-  u64 from_u64(u64 v) const noexcept { return m_.from_u64(v); }
-  u64 reduce(u64 v) const noexcept { return m_.reduce(v); }
-  u64 add(u64 a, u64 b) const noexcept { return m_.add(a, b); }
-  u64 sub(u64 a, u64 b) const noexcept { return m_.sub(a, b); }
-  u64 neg(u64 a) const noexcept { return m_.neg(a); }
-  u64 mul(u64 a, u64 b) const noexcept { return m_.mul(a, b); }
-  u64 sqr(u64 a) const noexcept { return m_.sqr(a); }
-  u64 pow(u64 a, u64 e) const noexcept { return m_.pow(a, e); }
-  u64 inv(u64 a) const { return m_.inv(a); }
-  u64 div(u64 a, u64 b) const { return m_.div(a, b); }
-  std::vector<u64> batch_inv(const std::vector<u64>& xs) const {
-    return m_.batch_inv(xs);
-  }
-  u64 root_of_unity(int k) const { return m_.root_of_unity(k); }
-
-  // ---- Batch kernels (AVX2; defined in montgomery_simd.cpp) ---------
-  // All take Montgomery-domain values, handle arbitrary n with a
-  // scalar tail, tolerate out == a (in-place), and fall back to the
-  // scalar loop wholesale when the context is trivial (q == 2).
-
-  // out[i] = a[i] * b[i]
-  void mul_vec(const u64* a, const u64* b, u64* out,
-               std::size_t n) const noexcept;
-  // out[i] = a[i] * s
-  void scale_vec(const u64* a, u64 s, u64* out, std::size_t n) const noexcept;
-  // r[i] = r[i] + s * b[i]   (schoolbook/Karatsuba row push)
-  void addmul_inplace(u64* r, u64 s, const u64* b,
-                      std::size_t n) const noexcept;
-  // r[i] = r[i] - s * b[i]   (polynomial remainder row elimination)
-  void submul_inplace(u64* r, u64 s, const u64* b,
-                      std::size_t n) const noexcept;
-  // r[i] = r[i] + b[i]       (unit-weight Yates push)
-  void add_inplace(u64* r, const u64* b, std::size_t n) const noexcept;
-  // out[i] = x - a[i]        (Lagrange node differences)
-  void sub_from_scalar(u64 x, const u64* a, u64* out,
-                       std::size_t n) const noexcept;
-  // sum_i a[i] * b[i] (mod-q addition is exact, so lane re-association
-  // still returns the same u64 as the sequential fold)
-  u64 dot(const u64* a, const u64* b, std::size_t n) const noexcept;
-  // One radix-2 NTT stage over bit-reversed data: for every block of
-  // `len` elements of a[0..n), butterflies a[j], a[j+len/2] with the
-  // contiguous stage twiddles tw[0..len/2).
-  void ntt_stage(u64* a, std::size_t n, std::size_t len,
-                 const u64* tw) const noexcept;
-  // Same stage through the Shoup tables: op[j] is the canonical
-  // twiddle, qt[j] its precomputed quotient (field/shoup.hpp). Same
-  // output words as ntt_stage with the matching Montgomery twiddles,
-  // one vpmuludq cheaper per product on both prime widths.
-  void ntt_stage_shoup(u64* a, std::size_t n, std::size_t len, const u64* op,
-                       const u64* qt) const noexcept;
-
- private:
-  MontgomeryField m_;
-  bool narrow_;
-};
+// The AVX2 table for q's width: non-null only for 2 < q < 2^31 in a
+// build with AVX2 kernels.
+const MontKernels* avx2_kernels(u64 q) noexcept;
 
 }  // namespace camelot

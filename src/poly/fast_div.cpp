@@ -88,8 +88,6 @@ void set_fastdiv_crossover(std::size_t divisor_degree) noexcept {
 
 CAMELOT_FASTDIV_INSTANTIATE(PrimeField)
 CAMELOT_FASTDIV_INSTANTIATE(MontgomeryField)
-CAMELOT_FASTDIV_INSTANTIATE(MontgomeryAvx2Field)
-CAMELOT_FASTDIV_INSTANTIATE(MontgomeryAvx512Field)
 #undef CAMELOT_FASTDIV_INSTANTIATE
 
 }  // namespace camelot

@@ -28,15 +28,15 @@
 //     fallback below the NTT threshold or when the field's two-adicity
 //     cannot host the transform (q = 2, 2^61 - 1).
 //
-// Everything is templated over the field backend exactly like
-// poly.hpp, so the scalar Montgomery, AVX2 lane, and division
-// backends instantiate the same code — and since field arithmetic is
-// exact, every kernel returns *bit-identical* coefficients to the
-// schoolbook path it replaces, on every backend. Explicit
-// instantiations for the three backends live in fast_div.cpp.
+// Everything is templated over the field exactly like poly.hpp, so
+// the Montgomery (on any kernel table) and division fields instantiate
+// the same code — and since field arithmetic is exact, every kernel
+// returns *bit-identical* coefficients to the schoolbook path it
+// replaces, on every backend. Explicit instantiations for both fields
+// live in fast_div.cpp.
 //
 // Crossover: below a tuned divisor degree the schoolbook elimination
-// (with its AVX2 submul rows) wins on constant factors. Callers
+// (with its lane-wide submul rows) wins on constant factors. Callers
 // dispatch via poly_divrem_auto / fastdiv_crossover(); the default is
 // chosen from BENCH_field.json sweeps and can be overridden with the
 // CAMELOT_FASTDIV_CROSSOVER environment variable (read once) or
@@ -83,7 +83,7 @@ std::vector<u64> mul_full(std::span<const u64> a, std::span<const u64> b,
   if (a.empty() || b.empty()) return {};
   const std::size_t out = a.size() + b.size() - 1;
   if (out >= poly_detail::kNttThreshold) {
-    // The tabled overloads exist for the Montgomery backends only;
+    // The tabled overloads exist for the Montgomery field only;
     // the division backend converts inside the untabled overload.
     if constexpr (!std::is_same_v<Field, PrimeField>) {
       if (tables != nullptr && tables->modulus() == f.modulus() &&
@@ -422,10 +422,10 @@ void poly_xgcd_partial_fast(const Poly& a, const Poly& b, int stop_degree,
   if (v != nullptr) *v = v0;
 }
 
-// The supported backends are instantiated once in fast_div.cpp. The
-// slice kernels come in both vector flavours: std::vector for results
-// that escape the calling stage, ScratchVec for the arena-backed
-// internal pipeline.
+// Both fields are instantiated once in fast_div.cpp. The slice
+// kernels come in both vector flavours: std::vector for results that
+// escape the calling stage, ScratchVec for the arena-backed internal
+// pipeline.
 #define CAMELOT_FASTDIV_EXTERN(Field)                                       \
   extern template std::vector<u64> poly_mul_low<Field>(                     \
       std::span<const u64>, std::span<const u64>, std::size_t,              \
@@ -461,8 +461,6 @@ void poly_xgcd_partial_fast(const Poly& a, const Poly& b, int stop_degree,
 
 CAMELOT_FASTDIV_EXTERN(PrimeField)
 CAMELOT_FASTDIV_EXTERN(MontgomeryField)
-CAMELOT_FASTDIV_EXTERN(MontgomeryAvx2Field)
-CAMELOT_FASTDIV_EXTERN(MontgomeryAvx512Field)
 #undef CAMELOT_FASTDIV_EXTERN
 
 }  // namespace camelot

@@ -60,8 +60,6 @@ void set_hgcd_crossover(std::size_t budget) noexcept {
 
 CAMELOT_HGCD_INSTANTIATE(PrimeField)
 CAMELOT_HGCD_INSTANTIATE(MontgomeryField)
-CAMELOT_HGCD_INSTANTIATE(MontgomeryAvx2Field)
-CAMELOT_HGCD_INSTANTIATE(MontgomeryAvx512Field)
 #undef CAMELOT_HGCD_INSTANTIATE
 
 }  // namespace camelot

@@ -341,7 +341,7 @@ void poly_xgcd_partial_hgcd(const Poly& a, const Poly& b, int stop_degree,
   }
 }
 
-// The supported backends are instantiated once in hgcd.cpp.
+// Both fields are instantiated once in hgcd.cpp.
 #define CAMELOT_HGCD_EXTERN(Field)                                        \
   extern template void poly_xgcd_partial_hgcd<Field>(                     \
       const Poly&, const Poly&, int, const Field&, Poly*, Poly*, Poly*,   \
@@ -349,8 +349,6 @@ void poly_xgcd_partial_hgcd(const Poly& a, const Poly& b, int stop_degree,
 
 CAMELOT_HGCD_EXTERN(PrimeField)
 CAMELOT_HGCD_EXTERN(MontgomeryField)
-CAMELOT_HGCD_EXTERN(MontgomeryAvx2Field)
-CAMELOT_HGCD_EXTERN(MontgomeryAvx512Field)
 #undef CAMELOT_HGCD_EXTERN
 
 }  // namespace camelot

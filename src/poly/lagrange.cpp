@@ -1,30 +1,21 @@
 #include "poly/lagrange.hpp"
 
 #include <stdexcept>
-#include <type_traits>
-
-#include "field/backend_dispatch.hpp"
-#include "field/montgomery_simd.hpp"
 
 namespace camelot {
 
 ConsecutiveLagrange::ConsecutiveLagrange(u64 start, std::size_t count,
                                          const FieldOps& f)
-    : m_(f.mont()),
-      start_(f.prime().reduce(start)),
-      count_(count),
-      backend_(f.backend()) {
+    : m_(f.mont()), start_(f.prime().reduce(start)), count_(count) {
   if (count == 0) throw std::invalid_argument("lagrange_basis: empty");
   if (count >= f.modulus()) {
     throw std::invalid_argument("lagrange_basis: more nodes than field");
   }
-  if (lanes()) {
-    nodes_mont_.resize(count);
-    u64 node = m_.to_mont(start_);
-    for (std::size_t i = 0; i < count; ++i) {
-      nodes_mont_[i] = node;
-      node = m_.add(node, m_.one());
-    }
+  nodes_mont_.resize(count);
+  u64 node = m_.to_mont(start_);
+  for (std::size_t i = 0; i < count; ++i) {
+    nodes_mont_[i] = node;
+    node = m_.add(node, m_.one());
   }
   // Factorials F_0..F_{count-1} in the Montgomery domain.
   std::vector<u64> fact(count);
@@ -34,25 +25,11 @@ ConsecutiveLagrange::ConsecutiveLagrange(u64 start, std::size_t count,
     i_m = m_.add(i_m, m_.one());  // Montgomery form of i
     fact[i] = m_.mul(fact[i - 1], i_m);
   }
-  // Point-independent denominator parts, inverted once. Under a SIMD
-  // backend the factorial cross products run on lanes (same words —
-  // lane REDC is bit-identical to scalar); the alternating sign stays
-  // a scalar pass either way.
+  // Point-independent denominator parts, inverted once: the factorial
+  // cross products are one batch, the alternating sign a scalar pass.
+  std::vector<u64> rev_fact(fact.rbegin(), fact.rend());
   std::vector<u64> w(count);
-  with_lane_field(backend_, m_, [&](const auto& lf) {
-    using F = std::decay_t<decltype(lf)>;
-    if constexpr (FieldHasBatchKernels<F>) {
-      std::vector<u64> rev_fact(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        rev_fact[i] = fact[count - 1 - i];
-      }
-      lf.mul_vec(fact.data(), rev_fact.data(), w.data(), count);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) {
-        w[i] = m_.mul(fact[i], fact[count - 1 - i]);
-      }
-    }
-  });
+  m_.mul_vec(fact.data(), rev_fact.data(), w.data(), count);
   for (std::size_t i = 0; i < count; ++i) {
     if ((count - 1 - i) % 2 == 1) w[i] = m_.neg(w[i]);
   }
@@ -68,60 +45,30 @@ ScratchVec ConsecutiveLagrange::basis_mont_scratch(u64 x0) const {
   // diff[i] = x0 - node_i in the Montgomery domain; detect x0 hitting
   // a node (zero is zero in either domain).
   ScratchVec diff(count_);
-  if (lanes()) {
-    return with_lane_field(backend_, m, [&](const auto& lf) -> ScratchVec {
-      using F = std::decay_t<decltype(lf)>;
-      if constexpr (FieldHasBatchKernels<F>) {
-        lf.sub_from_scalar(x0_m, nodes_mont_.data(), diff.data(), count_);
-      }
-      for (std::size_t i = 0; i < count_; ++i) {
-        if (diff[i] == 0) {
-          out[i] = m.one();
-          return std::move(out);  // basis collapses to an indicator
-        }
-      }
-      // The prefix/suffix sweeps are loop-carried product chains and
-      // stay scalar; the final per-node basis products run on lanes.
-      ScratchVec suffix(count_), prefix(count_);
-      u64 acc = m.one();
-      for (std::size_t i = count_; i-- > 0;) {
-        suffix[i] = acc;
-        acc = m.mul(acc, diff[i]);
-      }
-      acc = m.one();
-      for (std::size_t i = 0; i < count_; ++i) {
-        prefix[i] = acc;
-        acc = m.mul(acc, diff[i]);
-      }
-      if constexpr (FieldHasBatchKernels<F>) {
-        lf.mul_vec(prefix.data(), suffix.data(), out.data(), count_);
-        lf.mul_vec(out.data(), inv_w_.data(), out.data(), count_);
-      }
-      return std::move(out);
-    });
-  }
-  u64 node = m.to_mont(start_);
+  m.sub_from_scalar(x0_m, nodes_mont_.data(), diff.data(), count_);
   for (std::size_t i = 0; i < count_; ++i) {
-    diff[i] = m.sub(x0_m, node);
     if (diff[i] == 0) {
       out[i] = m.one();
       return out;  // basis collapses to an indicator
     }
-    node = m.add(node, m.one());  // next integer node
   }
   // L_i = (prod_{j != i} diff_j) * inv_w_i, via prefix/suffix
-  // products — no inversion at the evaluation point.
-  ScratchVec suffix(count_);
+  // products — no inversion at the evaluation point. The sweeps are
+  // loop-carried product chains and stay scalar; the final per-node
+  // basis products are two batches.
+  ScratchVec suffix(count_), prefix(count_);
   u64 acc = m.one();
   for (std::size_t i = count_; i-- > 0;) {
     suffix[i] = acc;
     acc = m.mul(acc, diff[i]);
   }
-  u64 prefix = m.one();
+  acc = m.one();
   for (std::size_t i = 0; i < count_; ++i) {
-    out[i] = m.mul(m.mul(prefix, suffix[i]), inv_w_[i]);
-    prefix = m.mul(prefix, diff[i]);
+    prefix[i] = acc;
+    acc = m.mul(acc, diff[i]);
   }
+  m.mul_vec(prefix.data(), suffix.data(), out.data(), count_);
+  m.mul_vec(out.data(), inv_w_.data(), out.data(), count_);
   return out;
 }
 
@@ -148,26 +95,11 @@ u64 ConsecutiveLagrange::eval(std::span<const u64> values, u64 x0) const {
   const ScratchVec basis = basis_mont_scratch(x0);
   // mont_mul(bR, v) = b*v with no conversion: the Montgomery factor of
   // the basis cancels against the reduction, so plain values in, plain
-  // accumulator out.
-  if (lanes()) {
-    ScratchVec reduced(count_);
-    for (std::size_t i = 0; i < count_; ++i) reduced[i] = m_.reduce(values[i]);
-    // Mod-q addition is exact, so the lane-reassociated dot matches
-    // the sequential fold bit-for-bit.
-    return with_lane_field(backend_, m_, [&](const auto& lf) -> u64 {
-      using F = std::decay_t<decltype(lf)>;
-      if constexpr (FieldHasBatchKernels<F>) {
-        return lf.dot(basis.data(), reduced.data(), count_);
-      } else {
-        return 0;  // unreachable: lanes() implies a SIMD backend
-      }
-    });
-  }
-  u64 acc = 0;
-  for (std::size_t i = 0; i < count_; ++i) {
-    acc = m_.add(acc, m_.mul(basis[i], m_.reduce(values[i])));
-  }
-  return acc;
+  // accumulator out. Mod-q addition is exact, so a lane-reassociated
+  // dot matches the sequential fold bit-for-bit.
+  ScratchVec reduced(count_);
+  for (std::size_t i = 0; i < count_; ++i) reduced[i] = m_.reduce(values[i]);
+  return m_.dot(basis.data(), reduced.data(), count_);
 }
 
 std::vector<u64> lagrange_basis_consecutive(u64 start, std::size_t count,

@@ -60,18 +60,11 @@ class ConsecutiveLagrange {
   MontgomeryField m_;
   u64 start_;        // canonical representative of the first node
   std::size_t count_;
-  FieldBackend backend_;  // resolved lane backend at build time
-  // True when backend_ names a lane-wide (AVX2 or AVX-512) pipeline.
-  bool lanes() const noexcept {
-    return backend_ == FieldBackend::kMontgomeryAvx2 ||
-           backend_ == FieldBackend::kMontgomeryAvx512;
-  }
   // Montgomery-domain inverses of the point-independent denominator
   // parts (-1)^{count-1-i} * i! * (count-1-i)!.
   std::vector<u64> inv_w_;
-  // Montgomery form of the nodes start..start+count-1, precomputed
-  // when a SIMD backend is selected so basis_mont can take the node
-  // differences and the final basis products on u64 lanes.
+  // Montgomery form of the nodes start..start+count-1, so basis_mont
+  // takes all node differences in one batch.
   std::vector<u64> nodes_mont_;
 };
 

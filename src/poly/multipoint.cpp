@@ -1,9 +1,7 @@
 #include "poly/multipoint.hpp"
 
 #include <stdexcept>
-#include <type_traits>
 
-#include "field/backend_dispatch.hpp"
 #include "poly/fast_div.hpp"
 
 namespace camelot {
@@ -13,7 +11,6 @@ SubproductTree::SubproductTree(std::span<const u64> points,
     : points_(points.begin(), points.end()),
       mont_(f.mont()),
       ntt_(f.ntt_tables()),
-      backend_(f.backend()),
       crossover_(crossover != 0 ? crossover : fastdiv_crossover()) {
   if (points_.empty()) {
     throw std::invalid_argument("SubproductTree: no points");
@@ -46,15 +43,12 @@ Poly SubproductTree::mul(const Poly& a, const Poly& b) const {
   if (!a.is_zero() && !b.is_zero() && ntt_ != nullptr) {
     const std::size_t out = a.c.size() + b.c.size() - 1;
     if (out >= poly_detail::kNttThreshold && out <= ntt_->capacity()) {
-      Poly r{with_lane_field(backend_, mont_, [&](const auto& lf) {
-        return ntt_convolve(a.c, b.c, lf, *ntt_);
-      })};
+      Poly r{ntt_convolve(a.c, b.c, mont_, *ntt_)};
       r.trim();
       return r;
     }
   }
-  return with_lane_field(backend_, mont_,
-                         [&](const auto& lf) { return poly_mul(a, b, lf); });
+  return poly_mul(a, b, mont_);
 }
 
 const Poly& SubproductTree::root_mont() const { return levels_.back()[0]; }
@@ -86,10 +80,7 @@ void SubproductTree::build_inverses() {
       if (deg < crossover_ || prec < kFastDivMinQuotient) continue;
       Poly rev;
       rev.c.assign(node.c.rbegin(), node.c.rend());
-      inv_levels_[l][i] =
-          with_lane_field(backend_, mont_, [&](const auto& lf) {
-            return poly_inverse_series(rev, prec, lf, ntt_.get());
-          });
+      inv_levels_[l][i] = poly_inverse_series(rev, prec, mont_, ntt_.get());
       ++fast_nodes_;
     }
   }
@@ -101,41 +92,19 @@ namespace {
 // product of monic linears). Skips the quotient, the leading-
 // coefficient inversion and all Poly wrapper churn of the generic
 // poly_divrem — this is the hot inner loop of tree descent below the
-// fast-division crossover. On a SIMD backend the row elimination runs
-// lane-wide (same multiplication sequence, so the remainder words are
-// bit-identical); rows shorter than two vectors stay on the scalar
-// loop, where call overhead would dominate.
+// fast-division crossover. Each row elimination is one submul batch,
+// lane-wide on a context with a kernel table (same multiplication
+// sequence, so the remainder words are bit-identical).
 void monic_rem_inplace(ScratchVec& r, const std::vector<u64>& b,
-                       const MontgomeryField& mref, FieldBackend backend) {
+                       const MontgomeryField& mref) {
+  const MontgomeryField m = mref;  // registers, not reloads, across stores
   const std::size_t db = b.size() - 1;  // deg b; b.back() == one()
-  with_lane_field(backend, mref, [&](const auto& fref) {
-    using F = std::decay_t<decltype(fref)>;
-    if constexpr (FieldHasBatchKernels<F>) {
-      if (db >= 8) {
-        while (r.size() > db) {
-          const u64 top = r.back();
-          r.pop_back();
-          if (top == 0) continue;
-          fref.submul_inplace(r.data() + (r.size() - db), top, b.data(), db);
-        }
-        return;
-      }
-    }
-    // By-value copy: the stores through r could alias an object
-    // behind a reference, which would force the compiler to reload
-    // the Montgomery constants every iteration; a local's fields live
-    // in registers.
-    const MontgomeryField m = mref;
-    while (r.size() > db) {
-      const u64 top = r.back();
-      r.pop_back();
-      if (top == 0) continue;
-      u64* rc = r.data() + (r.size() - db);
-      for (std::size_t j = 0; j < db; ++j) {
-        rc[j] = m.sub(rc[j], m.mul(top, b[j]));
-      }
-    }
-  });
+  while (r.size() > db) {
+    const u64 top = r.back();
+    r.pop_back();
+    if (top == 0) continue;
+    m.submul_inplace(r.data() + (r.size() - db), top, b.data(), db);
+  }
 }
 
 }  // namespace
@@ -157,9 +126,7 @@ void SubproductTree::node_rem(ScratchVec& r, std::size_t level,
         const Poly& root = levels_.back()[0];
         Poly rev;
         rev.c.assign(root.c.rbegin(), root.c.rend());
-        root_inv_ = with_lane_field(backend_, mont_, [&](const auto& lf) {
-          return poly_inverse_series(rev, db, lf, ntt_.get());
-        });
+        root_inv_ = poly_inverse_series(rev, db, mont_, ntt_.get());
       });
       inv = &root_inv_;
     } else if (!inv_levels_[level][idx].c.empty()) {
@@ -167,7 +134,7 @@ void SubproductTree::node_rem(ScratchVec& r, std::size_t level,
     }
   }
   if (inv == nullptr) {
-    monic_rem_inplace(r, b.c, mont_, backend_);
+    monic_rem_inplace(r, b.c, mont_);
     return;
   }
   if (inv->c.size() < k) {
@@ -175,15 +142,11 @@ void SubproductTree::node_rem(ScratchVec& r, std::size_t level,
     // cached prefix by Newton steps instead of starting over.
     Poly rev;
     rev.c.assign(b.c.rbegin(), b.c.rend());
-    with_lane_field(backend_, mont_, [&](const auto& lf) {
-      const Poly ext = poly_inverse_series(rev, k, lf, ntt_.get(), inv);
-      monic_rem_fast_inplace(r, b.c, ext, lf, ntt_.get());
-    });
+    const Poly ext = poly_inverse_series(rev, k, mont_, ntt_.get(), inv);
+    monic_rem_fast_inplace(r, b.c, ext, mont_, ntt_.get());
     return;
   }
-  with_lane_field(backend_, mont_, [&](const auto& lf) {
-    monic_rem_fast_inplace(r, b.c, *inv, lf, ntt_.get());
-  });
+  monic_rem_fast_inplace(r, b.c, *inv, mont_, ntt_.get());
 }
 
 void SubproductTree::eval_rec(ScratchVec& r, std::size_t level,
@@ -235,21 +198,14 @@ ScratchVec SubproductTree::mul_scratch(std::span<const u64> a,
   const std::size_t out = a.size() + b.size() - 1;
   if (ntt_ != nullptr && out >= poly_detail::kNttThreshold &&
       out <= ntt_->capacity()) {
-    return with_lane_field(backend_, mont_, [&](const auto& lf) {
-      return ntt_convolve_scratch(a, b, lf, ntt_.get());
-    });
+    return ntt_convolve_scratch(a, b, mont_, ntt_.get());
   }
   if (out >= poly_detail::kNttThreshold && ntt_supports_size(mont_, out)) {
-    return with_lane_field(backend_, mont_, [&](const auto& lf) {
-      return ntt_convolve_scratch(a, b, lf);
-    });
+    return ntt_convolve_scratch(a, b, mont_);
   }
   // kara_rec runs the same addmul rows as schoolbook below its
   // threshold, so one ladder covers every sub-NTT size.
-  return with_lane_field(backend_, mont_, [&](const auto& lf) {
-    using F = std::decay_t<decltype(lf)>;
-    return poly_detail::kara<F, ScratchVec>(a, b, lf);
-  });
+  return poly_detail::kara<MontgomeryField, ScratchVec>(a, b, mont_);
 }
 
 ScratchVec SubproductTree::interp_rec(std::span<const u64> weighted,
@@ -291,17 +247,8 @@ Poly SubproductTree::interpolate_mont(
   std::vector<u64> denom = evaluate_mont(dm);
   std::vector<u64> inv_denom = mont_.batch_inv(denom);
   ScratchVec weighted(values_mont.size());
-  with_lane_field(backend_, mont_, [&](const auto& lf) {
-    using F = std::decay_t<decltype(lf)>;
-    if constexpr (FieldHasBatchKernels<F>) {
-      lf.mul_vec(values_mont.data(), inv_denom.data(), weighted.data(),
-                 values_mont.size());
-    } else {
-      for (std::size_t i = 0; i < values_mont.size(); ++i) {
-        weighted[i] = lf.mul(values_mont[i], inv_denom[i]);
-      }
-    }
-  });
+  mont_.mul_vec(values_mont.data(), inv_denom.data(), weighted.data(),
+                values_mont.size());
   const ScratchVec coeffs =
       interp_rec(weighted, levels_.size() - 1, 0, 0, points_.size());
   Poly p;

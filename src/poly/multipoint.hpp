@@ -9,10 +9,9 @@
 // runs every remainder/product on domain values. The classic
 // PrimeField-facing methods convert once per call at the boundary;
 // the *_mont methods expose the domain directly so a longer pipeline
-// (e.g. the Gao decoder) never leaves it. When the backend handle
-// names a SIMD backend (AVX2 or AVX-512), the node products and the
-// descent's remainder eliminations run on the matching u64 lane set
-// (bit-identical values).
+// (e.g. the Gao decoder) never leaves it. The node products and the
+// descent's remainder eliminations run on the handle's kernel table
+// (bit-identical values on every table).
 //
 // Since the quasi-linear engine landed (poly/fast_div.hpp), the build
 // also precomputes a Newton power-series inverse of every large
@@ -111,7 +110,6 @@ class SubproductTree {
   std::vector<u64> points_;       // canonical representatives
   MontgomeryField mont_;
   std::shared_ptr<const NttTables> ntt_;
-  FieldBackend backend_;          // resolved lane backend at build time
   std::size_t crossover_;         // fastdiv_crossover() at build time
   std::size_t fast_nodes_ = 0;
   Poly root_plain_;

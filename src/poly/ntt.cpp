@@ -68,20 +68,21 @@ void check_size_and_bit_reverse(Vec& a, int max_log2) {
   }
 }
 
-// Radix-2 kernel over any Montgomery backend (tables == nullptr
-// powers each stage's twiddles on the fly). The lane backends route
-// the butterflies and the final 1/n scaling through their lane-wide
-// kernels; tabled transforms additionally take the Shoup-quotient
-// butterfly (canonical twiddle + precomputed quotient, no REDC)
-// unless CAMELOT_SHOUP disables it. Every combination computes the
-// identical multiplication sequence mod q — and hence every output
-// word — so backends and butterfly flavors can be mixed freely.
-template <class Field, class Vec>
-void ntt_kernel(Vec& a, bool inverse, const Field& fref,
+// Radix-2 kernel in the Montgomery domain (tables == nullptr powers
+// each stage's twiddles on the fly). Butterfly stages and the final
+// 1/n scaling go through the context's batch kernels, so they run on
+// its lane table when it has one; tabled transforms additionally take
+// the Shoup-quotient butterfly (canonical twiddle + precomputed
+// quotient, no REDC) unless CAMELOT_SHOUP disables it. Every
+// combination computes the identical multiplication sequence mod q —
+// and hence every output word — so tables and butterfly flavors can
+// be mixed freely.
+template <class Vec>
+void ntt_kernel(Vec& a, bool inverse, const MontgomeryField& fref,
                 const NttTables* tables) {
   // By-value copy keeps the Montgomery constants in registers across
   // the butterfly stores (a reference could alias the written data).
-  const Field f = fref;
+  const MontgomeryField f = fref;
   const std::size_t n = a.size();
   if (tables != nullptr) {
     if (tables->modulus() != f.modulus()) {
@@ -103,7 +104,6 @@ void ntt_kernel(Vec& a, bool inverse, const Field& fref,
   ScratchVec scratch;  // untabled twiddle chain, freed at stage end
   for (int k = 1; k <= lg; ++k) {
     const std::size_t len = std::size_t{1} << k;
-    const std::size_t half = len / 2;
     if (shoup) {
       const std::span<const u64> op = inverse
                                           ? tables->stage_inverse_shoup_op(k)
@@ -111,25 +111,14 @@ void ntt_kernel(Vec& a, bool inverse, const Field& fref,
       const std::span<const u64> qt = inverse
                                           ? tables->stage_inverse_shoup_qt(k)
                                           : tables->stage_forward_shoup_qt(k);
-      if constexpr (FieldHasBatchKernels<Field>) {
-        f.ntt_stage_shoup(a.data(), n, len, op.data(), qt.data());
-      } else {
-        const u64 q = f.modulus();
-        for (std::size_t i = 0; i < n; i += len) {
-          for (std::size_t j = 0; j < half; ++j) {
-            const u64 u = a[i + j];
-            const u64 v = shoup_mul(a[i + j + half], op[j], qt[j], q);
-            a[i + j] = f.add(u, v);
-            a[i + j + half] = f.sub(u, v);
-          }
-        }
-      }
+      f.ntt_stage_shoup(a.data(), n, len, op.data(), qt.data());
       continue;
     }
     std::span<const u64> tw;
     if (tables != nullptr) {
       tw = inverse ? tables->stage_inverse(k) : tables->stage_forward(k);
     } else {
+      const std::size_t half = len / 2;
       u64 wlen = f.root_of_unity(k);
       if (inverse) wlen = f.inv(wlen);
       scratch.resize(half);
@@ -139,27 +128,12 @@ void ntt_kernel(Vec& a, bool inverse, const Field& fref,
       }
       tw = scratch;
     }
-    if constexpr (FieldHasBatchKernels<Field>) {
-      f.ntt_stage(a.data(), n, len, tw.data());
-    } else {
-      for (std::size_t i = 0; i < n; i += len) {
-        for (std::size_t j = 0; j < half; ++j) {
-          const u64 u = a[i + j];
-          const u64 v = f.mul(a[i + j + half], tw[j]);
-          a[i + j] = f.add(u, v);
-          a[i + j + half] = f.sub(u, v);
-        }
-      }
-    }
+    f.ntt_stage(a.data(), n, len, tw.data());
   }
   if (inverse) {
     const u64 n_inv =
         tables != nullptr ? tables->n_inv(lg) : f.inv(f.from_u64(n));
-    if constexpr (FieldHasBatchKernels<Field>) {
-      f.scale_vec(a.data(), n_inv, a.data(), n);
-    } else {
-      for (u64& v : a) v = f.mul(v, n_inv);
-    }
+    f.scale_vec(a.data(), n_inv, a.data(), n);
   }
 }
 
@@ -167,9 +141,9 @@ void ntt_kernel(Vec& a, bool inverse, const Field& fref,
 // scratch and copy into the caller's vector type only when it
 // differs — the public std::vector overloads pay one result copy,
 // the ScratchVec pipeline none.
-template <class Vec, class Field>
+template <class Vec>
 Vec convolve_kernel(std::span<const u64> a, std::span<const u64> b,
-                    const Field& f, const NttTables* tables) {
+                    const MontgomeryField& f, const NttTables* tables) {
   const std::size_t out = a.size() + b.size() - 1;
   const std::size_t n = next_pow2(out);
   ScratchVec fa(a.begin(), a.end()), fb(b.begin(), b.end());
@@ -177,11 +151,7 @@ Vec convolve_kernel(std::span<const u64> a, std::span<const u64> b,
   fb.resize(n, 0);
   ntt_kernel(fa, false, f, tables);
   ntt_kernel(fb, false, f, tables);
-  if constexpr (FieldHasBatchKernels<Field>) {
-    f.mul_vec(fa.data(), fb.data(), fa.data(), n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fa[i] = f.mul(fa[i], fb[i]);
-  }
+  f.mul_vec(fa.data(), fb.data(), fa.data(), n);
   ntt_kernel(fa, true, f, tables);
   fa.resize(out);
   if constexpr (std::is_same_v<Vec, ScratchVec>) {
@@ -195,9 +165,8 @@ Vec convolve_kernel(std::span<const u64> a, std::span<const u64> b,
 // coefficient whose index is congruent to i. For power-of-two n the
 // wrap positions are exactly the aliases the middle product discards,
 // so the caller's target slice reads back exact products.
-template <class Field>
 ScratchVec fold_mod_xn(std::span<const u64> src, std::size_t n,
-                       const Field& f) {
+                       const MontgomeryField& f) {
   ScratchVec out(n, 0);
   const std::size_t head = std::min(src.size(), n);
   std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(head),
@@ -208,9 +177,10 @@ ScratchVec fold_mod_xn(std::span<const u64> src, std::size_t n,
   return out;
 }
 
-template <class Vec, class Field>
+template <class Vec>
 Vec cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
-                  std::size_t n, const Field& f, const NttTables* tables) {
+                  std::size_t n, const MontgomeryField& f,
+                  const NttTables* tables) {
   if (n == 0 || (n & (n - 1)) != 0) {
     throw std::invalid_argument(
         "ntt_convolve_cyclic: size must be a power of two");
@@ -219,11 +189,7 @@ Vec cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
   ScratchVec fb = fold_mod_xn(b, n, f);
   ntt_kernel(fa, false, f, tables);
   ntt_kernel(fb, false, f, tables);
-  if constexpr (FieldHasBatchKernels<Field>) {
-    f.mul_vec(fa.data(), fb.data(), fa.data(), n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fa[i] = f.mul(fa[i], fb[i]);
-  }
+  f.mul_vec(fa.data(), fb.data(), fa.data(), n);
   ntt_kernel(fa, true, f, tables);
   if constexpr (std::is_same_v<Vec, ScratchVec>) {
     return fa;
@@ -302,16 +268,6 @@ bool ntt_supports_size(const MontgomeryField& f, std::size_t result_size) {
   return ntt_supports_size(f.base(), result_size);
 }
 
-bool ntt_supports_size(const MontgomeryAvx2Field& f,
-                       std::size_t result_size) {
-  return ntt_supports_size(f.base(), result_size);
-}
-
-bool ntt_supports_size(const MontgomeryAvx512Field& f,
-                       std::size_t result_size) {
-  return ntt_supports_size(f.base(), result_size);
-}
-
 void ntt_inplace(std::vector<u64>& a, bool inverse, const PrimeField& f) {
   // Validate before converting so a failed call leaves `a` untouched.
   const std::size_t n = a.size();
@@ -337,26 +293,6 @@ void ntt_inplace(std::vector<u64>& a, bool inverse, const MontgomeryField& f,
   ntt_kernel(a, inverse, f, &tables);
 }
 
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx2Field& f) {
-  ntt_kernel(a, inverse, f, nullptr);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx2Field& f, const NttTables& tables) {
-  ntt_kernel(a, inverse, f, &tables);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx512Field& f) {
-  ntt_kernel(a, inverse, f, nullptr);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx512Field& f, const NttTables& tables) {
-  ntt_kernel(a, inverse, f, &tables);
-}
-
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const PrimeField& f) {
   if (a.empty() || b.empty()) return {};
@@ -374,33 +310,7 @@ std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
 }
 
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx2Field& f) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, nullptr);
-}
-
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx512Field& f) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, nullptr);
-}
-
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryField& f,
-                              const NttTables& tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, &tables);
-}
-
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx2Field& f,
-                              const NttTables& tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, &tables);
-}
-
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx512Field& f,
                               const NttTables& tables) {
   if (a.empty() || b.empty()) return {};
   return convolve_kernel<std::vector<u64>>(a, b, f, &tables);
@@ -408,20 +318,6 @@ std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
 
 ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
                                 const MontgomeryField& f,
-                                const NttTables* tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<ScratchVec>(a, b, f, tables);
-}
-
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryAvx2Field& f,
-                                const NttTables* tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<ScratchVec>(a, b, f, tables);
-}
-
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryAvx512Field& f,
                                 const NttTables* tables) {
   if (a.empty() || b.empty()) return {};
   return convolve_kernel<ScratchVec>(a, b, f, tables);
@@ -445,33 +341,7 @@ std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
 
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx2Field& f) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, nullptr);
-}
-
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx512Field& f) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, nullptr);
-}
-
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
                                      const MontgomeryField& f,
-                                     const NttTables& tables) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, &tables);
-}
-
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx2Field& f,
-                                     const NttTables& tables) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, &tables);
-}
-
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx512Field& f,
                                      const NttTables& tables) {
   return cyclic_kernel<std::vector<u64>>(a, b, n, f, &tables);
 }
@@ -491,20 +361,6 @@ ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
 ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
                                        std::span<const u64> b, std::size_t n,
                                        const MontgomeryField& f,
-                                       const NttTables* tables) {
-  return cyclic_kernel<ScratchVec>(a, b, n, f, tables);
-}
-
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryAvx2Field& f,
-                                       const NttTables* tables) {
-  return cyclic_kernel<ScratchVec>(a, b, n, f, tables);
-}
-
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryAvx512Field& f,
                                        const NttTables* tables) {
   return cyclic_kernel<ScratchVec>(a, b, n, f, tables);
 }

@@ -8,7 +8,8 @@
 // The butterfly kernel runs entirely in the Montgomery domain. The
 // PrimeField overloads convert once at the boundary (two passes over
 // the data); the MontgomeryField overloads take and return domain
-// values directly so a longer pipeline pays no conversion at all.
+// values directly so a longer pipeline pays no conversion at all, and
+// run their stages on the context's kernel table (bit-identical).
 #pragma once
 
 #include <span>
@@ -17,8 +18,6 @@
 #include "core/arena.hpp"
 #include "field/field.hpp"
 #include "field/montgomery.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
 
 namespace camelot {
 
@@ -26,9 +25,6 @@ namespace camelot {
 // polynomials with `result_size` output coefficients.
 bool ntt_supports_size(const PrimeField& f, std::size_t result_size);
 bool ntt_supports_size(const MontgomeryField& f, std::size_t result_size);
-bool ntt_supports_size(const MontgomeryAvx2Field& f, std::size_t result_size);
-bool ntt_supports_size(const MontgomeryAvx512Field& f,
-                       std::size_t result_size);
 
 // Process-wide switch for the Shoup-quotient butterfly path (both
 // are bit-identical; the switch exists for A/B measurement and as an
@@ -43,7 +39,7 @@ void set_ntt_shoup_enabled(bool enabled) noexcept;
 // (w = w * wlen per butterfly — a loop-carried multiply chain); the
 // table variant replaces the chain with contiguous loads from
 // per-stage root power tables computed once per prime — the layout
-// both the scalar butterfly and the AVX2 lane kernel consume
+// both the scalar butterfly and the lane kernel tables consume
 // directly. A FieldCache shares one instance per prime across all
 // sessions.
 class NttTables {
@@ -119,18 +115,6 @@ void ntt_inplace(std::vector<u64>& a, bool inverse, const MontgomeryField& f);
 void ntt_inplace(std::vector<u64>& a, bool inverse, const MontgomeryField& f,
                  const NttTables& tables);
 
-// Lane-wide butterfly kernels (bit-identical to the scalar
-// MontgomeryField overloads; callers reach these through FieldOps
-// backend dispatch).
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx2Field& f);
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx2Field& f, const NttTables& tables);
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx512Field& f);
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx512Field& f, const NttTables& tables);
-
 // Cyclic-free convolution (polynomial product) of two coefficient
 // vectors. Returns a.size()+b.size()-1 coefficients. The PrimeField
 // overload takes and returns canonical representatives; the
@@ -139,21 +123,11 @@ std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const PrimeField& f);
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryField& f);
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx2Field& f);
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx512Field& f);
 
 // Domain-to-domain convolution through the twiddle tables. The result
 // must fit: a.size()+b.size()-1 <= tables.capacity().
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryField& f,
-                              const NttTables& tables);
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx2Field& f,
-                              const NttTables& tables);
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx512Field& f,
                               const NttTables& tables);
 
 // Cyclic convolution mod x^n - 1 for power-of-two n (the transposed
@@ -170,21 +144,7 @@ std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      const MontgomeryField& f);
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx2Field& f);
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx512Field& f);
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
                                      const MontgomeryField& f,
-                                     const NttTables& tables);
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx2Field& f,
-                                     const NttTables& tables);
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx512Field& f,
                                      const NttTables& tables);
 
 // Scratch-returning linear convolutions for the interpolation ascent
@@ -193,12 +153,6 @@ std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
 // bound). `tables` may be null (untabled kernel).
 ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
                                 const MontgomeryField& f,
-                                const NttTables* tables = nullptr);
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryAvx2Field& f,
-                                const NttTables* tables = nullptr);
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryAvx512Field& f,
                                 const NttTables* tables = nullptr);
 
 // Scratch-returning cyclic convolutions for the middle-product/fast-
@@ -212,14 +166,6 @@ ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
 ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
                                        std::span<const u64> b, std::size_t n,
                                        const MontgomeryField& f,
-                                       const NttTables* tables = nullptr);
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryAvx2Field& f,
-                                       const NttTables* tables = nullptr);
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryAvx512Field& f,
                                        const NttTables* tables = nullptr);
 
 }  // namespace camelot

@@ -34,8 +34,6 @@ bool poly_equal(const Poly& a, const Poly& b) {
 
 CAMELOT_POLY_INSTANTIATE(PrimeField)
 CAMELOT_POLY_INSTANTIATE(MontgomeryField)
-CAMELOT_POLY_INSTANTIATE(MontgomeryAvx2Field)
-CAMELOT_POLY_INSTANTIATE(MontgomeryAvx512Field)
 #undef CAMELOT_POLY_INSTANTIATE
 
 }  // namespace camelot

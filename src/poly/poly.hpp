@@ -5,15 +5,15 @@
 // x^i; the zero polynomial is the empty vector. All operations take
 // the field explicitly.
 //
-// Every kernel is a template over the field backend so the same code
-// runs on canonical representatives (PrimeField), Montgomery-domain
-// values (MontgomeryField), or the AVX2 lane-wide Montgomery backend
-// (MontgomeryAvx2Field, whose FieldHasBatchKernels hook routes the
-// mul-heavy inner loops below through 4xu64 batch kernels with
-// bit-identical results). A Poly does not know which domain its
-// coefficients live in — the caller pairs coefficients with the
-// backend that produced them, exactly as it already pairs them with a
-// modulus. Explicit instantiations for all backends live in poly.cpp.
+// Every kernel is a template over the field, instantiated for exactly
+// two: PrimeField (canonical representatives, the reference) and
+// MontgomeryField (Montgomery-domain values, the fast one). On
+// MontgomeryField the mul-heavy inner loops below go through its batch
+// kernels, which run on whatever lane table the context carries with
+// bit-identical results. A Poly does not know which domain its
+// coefficients live in — the caller pairs coefficients with the field
+// that produced them, exactly as it already pairs them with a modulus.
+// The explicit instantiations live in poly.cpp.
 #pragma once
 
 #include <algorithm>
@@ -25,8 +25,6 @@
 #include "core/arena.hpp"
 #include "field/field.hpp"
 #include "field/montgomery.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
 #include "poly/ntt.hpp"
 
 namespace camelot {
@@ -355,7 +353,7 @@ Poly poly_derivative(const Poly& p, const Field& f) {
 
 bool poly_equal(const Poly& a, const Poly& b);
 
-// The supported backends are instantiated once in poly.cpp.
+// Both fields are instantiated once in poly.cpp.
 #define CAMELOT_POLY_EXTERN(Field)                                          \
   extern template Poly poly_add<Field>(const Poly&, const Poly&,            \
                                        const Field&);                       \
@@ -383,8 +381,6 @@ bool poly_equal(const Poly& a, const Poly& b);
 
 CAMELOT_POLY_EXTERN(PrimeField)
 CAMELOT_POLY_EXTERN(MontgomeryField)
-CAMELOT_POLY_EXTERN(MontgomeryAvx2Field)
-CAMELOT_POLY_EXTERN(MontgomeryAvx512Field)
 #undef CAMELOT_POLY_EXTERN
 
 }  // namespace camelot

@@ -72,10 +72,10 @@ GaoResult gao_decode_prepared(const ReedSolomonCode& code,
   const std::size_t e = code.length();
   const std::size_t d = code.degree_bound();
 
-  // Both Montgomery backends share the domain handling; only the
-  // remainder-sequence instantiation differs between them.
-  const FieldBackend backend = ops.backend();
-  const bool montgomery = backend != FieldBackend::kPrimeDivision;
+  // Every Montgomery backend runs the same pipeline on ops.mont(),
+  // whose kernel table carries the lane choice; only the division
+  // backend stays in canonical words.
+  const bool montgomery = ops.backend() != FieldBackend::kPrimeDivision;
 
   // Interpolate G1 through the received word, in the backend's domain.
   Poly g1 = montgomery ? tree.interpolate_mont(domain)
@@ -99,15 +99,7 @@ GaoResult gao_decode_prepared(const ReedSolomonCode& code,
   const NttTables* tables = ops.ntt_tables().get();
   const std::size_t crossover = code.hgcd_crossover();
   XgcdStats stats;
-  if (backend == FieldBackend::kMontgomeryAvx512) {
-    ok = gao_core(tree.root_mont(), std::move(g1), e, d,
-                  MontgomeryAvx512Field(ops.mont()), &message, tables,
-                  crossover, &stats);
-  } else if (backend == FieldBackend::kMontgomeryAvx2) {
-    ok = gao_core(tree.root_mont(), std::move(g1), e, d,
-                  MontgomeryAvx2Field(ops.mont()), &message, tables,
-                  crossover, &stats);
-  } else if (montgomery) {
+  if (montgomery) {
     ok = gao_core(tree.root_mont(), std::move(g1), e, d, ops.mont(),
                   &message, tables, crossover, &stats);
   } else {

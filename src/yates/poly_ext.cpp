@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "field/backend_dispatch.hpp"
 #include "yates/yates.hpp"
 
 namespace camelot {
@@ -12,8 +11,6 @@ YatesPolynomialExtension::YatesPolynomialExtension(
     std::size_t s_dim, unsigned k, std::vector<SparseEntry> entries,
     int ell_override)
     : ops_(f),
-      field_(f.prime()),
-      mont_(f.mont()),
       t_dim_(t_dim),
       s_dim_(s_dim),
       k_(k),
@@ -36,24 +33,25 @@ YatesPolynomialExtension::YatesPolynomialExtension(
   }
   num_outer_ = ipow(t_dim_, k_ - ell_);
   part_size_ = ipow(t_dim_, ell_);
-  if (num_outer_ >= field_.modulus()) {
+  if (num_outer_ >= ops_.modulus()) {
     throw std::invalid_argument(
         "YatesPolynomialExtension: field too small for outer domain");
   }
   // Point-independent precomputation, all in the Montgomery domain:
   // both base tables and the sparse entry values. The canonical table
   // is not retained — the Montgomery copies are the working state.
-  base_mont_ = mont_.to_mont_vec(base);
+  const MontgomeryField& m = mont();
+  base_mont_ = m.to_mont_vec(base);
   std::vector<u64> transposed(s_dim_ * t_dim_, 0);
   for (std::size_t i = 0; i < t_dim_; ++i) {
     for (std::size_t j = 0; j < s_dim_; ++j) {
       transposed[j * t_dim_ + i] = base[i * s_dim_ + j];
     }
   }
-  base_transposed_mont_ = mont_.to_mont_vec(transposed);
+  base_transposed_mont_ = m.to_mont_vec(transposed);
   entry_values_mont_.reserve(entries_.size());
   for (const SparseEntry& se : entries_) {
-    entry_values_mont_.push_back(mont_.to_mont(mont_.reduce(se.value)));
+    entry_values_mont_.push_back(m.to_mont(m.reduce(se.value)));
   }
 }
 
@@ -69,13 +67,10 @@ std::vector<u64> YatesPolynomialExtension::evaluate_mont_with_phi(
   const MontgomeryField& m = mont();
   // alpha_j(z0) for every outer digit pattern j in [s^{k-ell}]:
   // a Kronecker-power matrix-vector product with the *transposed*
-  // base, computed by classical Yates (eq. (8)). The resolved backend
-  // decides whether the push loops run scalar or on SIMD lanes.
-  const FieldBackend backend = ops_.backend();
-  std::vector<u64> alpha = with_lane_field(backend, m, [&](const auto& lf) {
-    return yates_apply(lf, base_transposed_mont_, s_dim_, t_dim_, phi,
-                       k_ - ell_);
-  });
+  // base, computed by classical Yates (eq. (8)). The push loops run on
+  // the handle's kernel table.
+  std::vector<u64> alpha =
+      yates_apply(m, base_transposed_mont_, s_dim_, t_dim_, phi, k_ - ell_);
 
   // Scatter the sparse input, weighting entry j by alpha_{suffix(j)}.
   const u64 suffix_size = ipow(s_dim_, k_ - ell_);
@@ -89,9 +84,7 @@ std::vector<u64> YatesPolynomialExtension::evaluate_mont_with_phi(
     x_ell[j_prefix] = m.add(x_ell[j_prefix], m.mul(w, entry_values_mont_[n]));
   }
   // Dense Yates over the inner digits.
-  return with_lane_field(backend, m, [&](const auto& lf) {
-    return yates_apply(lf, base_mont_, t_dim_, s_dim_, x_ell, ell_);
-  });
+  return yates_apply(m, base_mont_, t_dim_, s_dim_, x_ell, ell_);
 }
 
 std::vector<u64> YatesPolynomialExtension::evaluate(u64 z0) const {

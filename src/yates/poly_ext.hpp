@@ -25,10 +25,9 @@ namespace camelot {
 
 class YatesPolynomialExtension {
  public:
-  // Takes the field backend handle; the Montgomery context is shared
-  // with the handle (and, through FieldCache, with every other
-  // extension over the same prime). A bare PrimeField converts
-  // implicitly for stand-alone use.
+  // Takes the field backend handle and runs on its Montgomery context
+  // and kernel table. A bare PrimeField converts implicitly for
+  // stand-alone use.
   YatesPolynomialExtension(const FieldOps& f, std::vector<u64> base,
                            std::size_t t_dim, std::size_t s_dim, unsigned k,
                            std::vector<SparseEntry> entries,
@@ -40,7 +39,7 @@ class YatesPolynomialExtension {
   // Degree bound of each part-entry polynomial u_{i_1..i_ell}(z).
   u64 poly_degree_bound() const noexcept { return num_outer_ - 1; }
 
-  const MontgomeryField& mont() const noexcept { return mont_; }
+  const MontgomeryField& mont() const noexcept { return ops_.mont(); }
   // The outer-domain Lagrange cache (nodes 1..t^{k-ell}), built on
   // first use: callers that combine several extensions of the same
   // shape (count/triangle_camelot) query only one of them, so the
@@ -63,8 +62,6 @@ class YatesPolynomialExtension {
 
  private:
   FieldOps ops_;
-  PrimeField field_;
-  MontgomeryField mont_;
   std::vector<u64> base_mont_;        // Montgomery domain
   std::vector<u64> base_transposed_mont_;
   std::size_t t_dim_, s_dim_;

@@ -79,20 +79,6 @@ std::vector<u64> yates_apply(const MontgomeryField& f,
   return yates_apply_impl(f, base, t_dim, s_dim, x, k);
 }
 
-std::vector<u64> yates_apply(const MontgomeryAvx2Field& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k);
-}
-
-std::vector<u64> yates_apply(const MontgomeryAvx512Field& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k);
-}
-
 std::vector<u64> yates_apply_naive(const PrimeField& f,
                                    std::span<const u64> base,
                                    std::size_t t_dim, std::size_t s_dim,

@@ -14,8 +14,6 @@
 
 #include "field/field.hpp"
 #include "field/montgomery.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
 
 namespace camelot {
 
@@ -24,23 +22,15 @@ namespace camelot {
 // Returns t_dim^k entries. The MontgomeryField overload expects base
 // and x in the Montgomery domain and returns domain values (each
 // output entry is a sum of products with exactly one weight factor
-// per level, so the representation is preserved level by level).
-// The SIMD overloads run the suffix push loops on u64 lanes (4 for
-// AVX2, 8 for AVX-512) — the hot path of batched proof evaluation
-// (Evaluator::evaluate_points over count/ problems) — with
+// per level, so the representation is preserved level by level), and
+// runs the suffix push loops through the context's batch kernels — on
+// its lane table when it has one — the hot path of batched proof
+// evaluation (Evaluator::evaluate_points over count/ problems), with
 // bit-identical output.
 std::vector<u64> yates_apply(const PrimeField& f, std::span<const u64> base,
                              std::size_t t_dim, std::size_t s_dim,
                              std::span<const u64> x, unsigned k);
 std::vector<u64> yates_apply(const MontgomeryField& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k);
-std::vector<u64> yates_apply(const MontgomeryAvx2Field& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k);
-std::vector<u64> yates_apply(const MontgomeryAvx512Field& f,
                              std::span<const u64> base, std::size_t t_dim,
                              std::size_t s_dim, std::span<const u64> x,
                              unsigned k);

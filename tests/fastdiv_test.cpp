@@ -13,6 +13,7 @@
 #include "apps/ov.hpp"
 #include "core/proof_session.hpp"
 #include "core/symbol_stream.hpp"
+#include "field/field_ops.hpp"
 #include "field/primes.hpp"
 #include "poly/multipoint.hpp"
 #include "rs/gao.hpp"
@@ -193,7 +194,7 @@ TEST(FastDiv, WidePrimeFallback) {
 }
 
 TEST(FastDiv, ThreeBackendBitIdentity) {
-  // Narrow prime so the AVX2 leg runs the double-REDC32 lanes the CRT
+  // Narrow prime so the lane legs run the REDC-32 chains the CRT
   // planner actually selects.
   PrimeField f(find_ntt_prime(1 << 20, 20));
   MontgomeryField m(f);
@@ -207,15 +208,20 @@ TEST(FastDiv, ThreeBackendBitIdentity) {
   poly_divrem_fast(am, bm, m, &qm, &rm);
   EXPECT_EQ(m.from_mont_vec(qm.c), qd.c);
   EXPECT_EQ(m.from_mont_vec(rm.c), rd.c);
-  if (!simd_runtime_enabled()) {
-    GTEST_SKIP() << "AVX2 unavailable or forced off";
+  // Every lane table the process resolves must agree with scalar
+  // Montgomery word-for-word, not just canonically.
+  bool ran_lanes = false;
+  for (FieldBackend backend :
+       {FieldBackend::kMontgomeryAvx2, FieldBackend::kMontgomeryAvx512}) {
+    const FieldOps ops(f, backend);
+    if (!ops.simd()) continue;
+    ran_lanes = true;
+    Poly qs, rs;
+    poly_divrem_fast(am, bm, ops.mont(), &qs, &rs);
+    EXPECT_EQ(qs.c, qm.c) << ops.mont().kernels()->name;
+    EXPECT_EQ(rs.c, rm.c) << ops.mont().kernels()->name;
   }
-  Poly qs, rs;
-  poly_divrem_fast(am, bm, MontgomeryAvx2Field(m), &qs, &rs);
-  // The lane kernels must agree with scalar Montgomery word-for-word,
-  // not just canonically.
-  EXPECT_EQ(qs.c, qm.c);
-  EXPECT_EQ(rs.c, rm.c);
+  if (!ran_lanes) GTEST_SKIP() << "no lane kernel table resolved";
 }
 
 TEST(FastDiv, XgcdFastMatchesClassic) {

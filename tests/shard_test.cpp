@@ -18,7 +18,11 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "core/erasure_stream.hpp"
@@ -304,6 +308,80 @@ TEST(ShardCoordinatorTest, OverCapFrameMarksShardDeadAndRetries) {
     EXPECT_GT(fleet.retried_primes(), 0u);
   }
   ::unlink(script);
+}
+
+TEST(ShardCoordinatorTest, WorkersInheritNoSiblingPipes) {
+  REQUIRE_SHARDD();
+  // The last-spawned shard (the one handed the fault-injection
+  // argument) runs a stand-in that lists its open descriptors, then
+  // execs the real worker without the argument. Besides its own
+  // stdin/stdout it may hold what the test process holds itself (a
+  // captured stderr, say), but no end of an earlier sibling's pipes:
+  // an inherited write end would keep that sibling's stdin open after
+  // the coordinator closes it.
+  const char* env = std::getenv("CAMELOT_SHARDD");
+  char real[PATH_MAX];
+  ASSERT_NE(::realpath(env && *env ? env : "./shardd", real), nullptr);
+  char script[] = "/tmp/camelot_fds_XXXXXX";
+  const int fd = ::mkstemp(script);
+  ASSERT_GE(fd, 0);
+  const std::string listing = std::string(script) + ".fds";
+  std::string body = "#!/bin/sh\ncase \"$1\" in --crash-after-primes=*)\n";
+  // The subshell redirects in its own process, so the listed fds of
+  // the stand-in shell ($$) are exactly what the worker would inherit.
+  body += "  ( ls -l /proc/$$/fd ) > '" + listing + "'; exec '" +
+          std::string(real) + "';;\nesac\n";
+  body += "exec '" + std::string(real) + "' \"$@\"\n";
+  ASSERT_EQ(::write(fd, body.data(), body.size()),
+            static_cast<ssize_t>(body.size()));
+  ::close(fd);
+  ASSERT_EQ(::chmod(script, 0755), 0);
+
+  std::set<std::string> own_pipes;
+  namespace fs = std::filesystem;
+  for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const std::string target =
+        fs::read_symlink(entry.path(), ec).string();
+    if (target.rfind("pipe:", 0) == 0) own_pipes.insert(target);
+  }
+
+  const ShardJob job = base_job();
+  const RunReport single = run_single_process(job);
+  ShardOptions options;
+  options.num_shards = 3;
+  options.shardd_path = script;
+  options.crash_shard = 2;
+  options.crash_after_primes = 1;
+  {
+    ShardCoordinator fleet(options);
+    const RunReport sharded = fleet.run(job);
+    expect_reports_equal(sharded, single);
+    EXPECT_EQ(fleet.live_shards(), 3u);
+  }
+
+  // fd -> pipe for every pipe the stand-in held.
+  std::ifstream in(listing);
+  ASSERT_TRUE(in.good()) << "stand-in wrote no descriptor listing";
+  std::map<int, std::string> pipes;
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t arrow = line.find(" -> pipe:");
+    if (arrow == std::string::npos) continue;
+    const std::size_t space = line.rfind(' ', arrow - 1);
+    pipes[std::stoi(line.substr(space + 1, arrow - space - 1))] =
+        line.substr(arrow + 4);
+  }
+  ASSERT_TRUE(pipes.count(0) == 1 && pipes.count(1) == 1)
+      << "the worker's stdin/stdout are not pipes";
+  std::string foreign;
+  for (const auto& [fd_num, target] : pipes) {
+    if (fd_num <= 1 || own_pipes.count(target) != 0) continue;
+    foreign += std::to_string(fd_num) + " -> " + target + "\n";
+  }
+  EXPECT_TRUE(foreign.empty()) << "inherited sibling pipe ends:\n" << foreign;
+  ::unlink(script);
+  ::unlink(listing.c_str());
 }
 
 TEST(ShardCoordinatorTest, ReusableAcrossJobs) {
