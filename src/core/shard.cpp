@@ -67,6 +67,13 @@ void put_vec_u64(std::string& out, const std::vector<T>& v) {
   for (T x : v) put_u64(out, static_cast<std::uint64_t>(x));
 }
 
+// A payload that breaks the wire protocol: truncated, an unknown tag,
+// or a field out of range. The coordinator treats the sender as dead
+// (its primes retry on the survivors) instead of failing the job.
+struct WireError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 class WireReader {
  public:
   explicit WireReader(const std::string& payload) : s_(payload) {}
@@ -111,15 +118,24 @@ class WireReader {
     return out;
   }
 
-  std::vector<u64> vec_u64() {
+  // Element count of an array whose elements take `elem_bytes` each,
+  // checked against the remaining bytes before the caller allocates,
+  // so a lying count costs nothing.
+  std::uint32_t count(std::size_t elem_bytes) {
     const std::uint32_t n = u32();
+    need(elem_bytes * n);
+    return n;
+  }
+
+  std::vector<u64> vec_u64() {
+    const std::uint32_t n = count(8);
     std::vector<u64> out(n);
     for (std::uint32_t i = 0; i < n; ++i) out[i] = u64v();
     return out;
   }
 
   std::vector<std::size_t> vec_size() {
-    const std::uint32_t n = u32();
+    const std::uint32_t n = count(8);
     std::vector<std::size_t> out(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       out[i] = static_cast<std::size_t>(u64v());
@@ -132,7 +148,7 @@ class WireReader {
  private:
   void need(std::size_t n) const {
     if (pos_ + n > s_.size()) {
-      throw std::runtime_error("shard wire: truncated frame");
+      throw WireError("shard wire: truncated frame");
     }
   }
 
@@ -245,7 +261,7 @@ PrimeReportFrame decode_prime_report(WireReader& r) {
   f.report.repair_rounds = static_cast<std::size_t>(r.u64v());
   f.report.repaired_symbols = static_cast<std::size_t>(r.u64v());
   f.report.answer_residues = r.vec_u64();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(8 + 8 + 8);  // node_id, symbols, seconds
   f.delta.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     f.delta[i].node_id = static_cast<std::size_t>(r.u64v());
@@ -640,9 +656,6 @@ std::optional<std::string> ShardCoordinator::take_frame(Shard& s) {
   if (len > kMaxFrameBytes) {
     CAMELOT_TRACE_MSG(obs::kTraceSched, "shard wire: over-cap frame (%u)",
                       static_cast<unsigned>(len));
-    // The worker is not following the protocol; do not wait for it to
-    // notice its closed stdin.
-    if (s.pid > 0) ::kill(s.pid, SIGKILL);
     mark_dead(s);
     return std::nullopt;
   }
@@ -666,7 +679,12 @@ void ShardCoordinator::mark_dead(Shard& s) {
     ::close(s.to_fd);
     s.to_fd = -1;
   }
+  // Killed before it is reaped: a worker that is alive but
+  // off-protocol (a bad frame, a missed scrape deadline) may never
+  // exit on its own. An already-exited worker is a zombie until
+  // reaped, so the pid cannot have been reused.
   if (s.pid > 0) {
+    ::kill(s.pid, SIGKILL);
     int status = 0;
     (void)::waitpid(s.pid, &status, 0);
     s.pid = -1;
@@ -721,7 +739,7 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
   auto handle_report = [&](Shard& s, WireReader& r) {
     PrimeReportFrame f = decode_prime_report(r);
     if (f.prime_index >= num_primes) {
-      throw std::runtime_error("ShardCoordinator: prime index out of range");
+      throw WireError("shard wire: prime index out of range");
     }
     auto it = std::find(s.pending.begin(), s.pending.end(), f.prime_index);
     if (it != s.pending.end()) s.pending.erase(it);
@@ -801,25 +819,32 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
       const bool open = pump(s);
       bool fatal = !open;
       while (auto payload = take_frame(s)) {
-        WireReader r(*payload);
-        const auto tag = static_cast<ShardFrame>(r.u8());
-        if (tag == ShardFrame::kPrimeReport) {
-          handle_report(s, r);
-        } else if (tag == ShardFrame::kSubmitDone) {
-          // Informational; pending should already be empty.
-        } else if (tag == ShardFrame::kError) {
-          CAMELOT_TRACE_MSG(obs::kTraceSched, "shard error: %s",
-                            r.str().c_str());
+        // A frame that breaks the protocol is decoded in full before it
+        // touches any state, so dropping the shard here loses nothing.
+        try {
+          WireReader r(*payload);
+          const auto tag = static_cast<ShardFrame>(r.u8());
+          if (tag == ShardFrame::kPrimeReport) {
+            handle_report(s, r);
+          } else if (tag == ShardFrame::kSubmitDone) {
+            // Informational; pending should already be empty.
+          } else if (tag == ShardFrame::kError) {
+            CAMELOT_TRACE_MSG(obs::kTraceSched, "shard error: %s",
+                              r.str().c_str());
+            fatal = true;
+          } else if (tag == ShardFrame::kObsSnapshot) {
+            // Stale scrape response; ignore.
+            (void)r.str();
+          } else {
+            throw WireError("shard wire: unexpected frame tag");
+          }
+        } catch (const WireError& e) {
+          CAMELOT_TRACE_MSG(obs::kTraceSched, "%s", e.what());
           fatal = true;
-        } else if (tag == ShardFrame::kObsSnapshot) {
-          // Stale scrape response; ignore.
-          (void)r.str();
-        } else {
-          throw std::runtime_error(
-              "ShardCoordinator: unexpected frame from worker");
+          break;
         }
       }
-      // take_frame kills a shard that sent an over-cap header.
+      // take_frame marks dead a shard that sent an over-cap header.
       if (fatal || !s.alive) {
         mark_dead(s);
         redistribute(s);

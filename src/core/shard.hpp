@@ -131,8 +131,11 @@ class ShardCoordinator {
   // PrimePlan, dispatch, collect, redistribute a dead shard's
   // unfinished primes over the survivors, then assemble the RunReport
   // through assemble_report, as ProofSession::report() does (CRT
-  // across primes, node stats summed). Throws std::runtime_error when
-  // every shard died before the job settled.
+  // across primes, node stats summed). A shard that crashes or breaks
+  // the wire protocol (over-cap header, truncated payload, unknown
+  // tag, prime index out of range) is killed and counts as dead.
+  // Throws std::runtime_error when every shard died before the job
+  // settled.
   RunReport run(const ShardJob& job);
 
   std::size_t num_shards() const noexcept { return shards_.size(); }
@@ -178,6 +181,8 @@ class ShardCoordinator {
   // Extracts one complete frame payload from s.rbuf if present; marks
   // the shard dead on a header over the frame-size cap.
   std::optional<std::string> take_frame(Shard& s);
+  // SIGKILLs and reaps the worker (an off-protocol worker may never
+  // exit on its own), closes its stdin; idempotent.
   void mark_dead(Shard& s);
   void update_bandwidth(Shard& s);
 

@@ -13,7 +13,7 @@
 // twiddle w, shoup_mul(a_m, w, w') is exactly the canonical
 // representative of a_m * w mod q — the same word the Montgomery
 // butterfly's redc(a_m * wR) produces — so a Shoup-tabled transform
-// is bit-identical to the REDC-tabled one by construction.
+// is bit-identical to the untabled REDC one by construction.
 //
 // Quotients are amortized constants: twiddle tables build them once
 // per prime (poly/ntt.cpp), the wide-modulus matmul builds them once

@@ -80,11 +80,7 @@ void set_fastdiv_crossover(std::size_t divisor_degree) noexcept {
       const NttTables*);                                                    \
   template void poly_divrem_auto<Field>(const Poly&, const Poly&,           \
                                         const Field&, Poly*, Poly*,         \
-                                        const NttTables*);                  \
-  template void poly_xgcd_partial_fast<Field>(const Poly&, const Poly&,     \
-                                              int, const Field&, Poly*,     \
-                                              Poly*, Poly*,                 \
-                                              const NttTables*);
+                                        const NttTables*);
 
 CAMELOT_FASTDIV_INSTANTIATE(PrimeField)
 CAMELOT_FASTDIV_INSTANTIATE(MontgomeryField)

@@ -24,9 +24,13 @@
 //     that keeps the target slice alias-free, so the transforms are
 //     sized by the slice instead of the padded full product (the
 //     Newton doubling drops from two ~4k-point transforms to ~2k, and
-//     the division remainder runs at the divisor size). Karatsuba
-//     fallback below the NTT threshold or when the field's two-adicity
-//     cannot host the transform (q = 2, 2^61 - 1).
+//     the division remainder runs at the divisor size). Below the NTT
+//     threshold, or when the field's two-adicity cannot host the wrap
+//     (q = 2, 2^61 - 1), the clipped linear product goes through
+//     poly_detail::mul, the one product dispatcher (poly.hpp). Every
+//     transform takes the caller's NttTables as a hint: tabled Shoup
+//     butterflies when they cover the size, the REDC twiddle chain
+//     otherwise.
 //
 // Everything is templated over the field exactly like poly.hpp, so
 // the Montgomery (on any kernel table) and division fields instantiate
@@ -72,51 +76,21 @@ inline constexpr std::size_t kFastDivMinQuotient = 16;
 
 namespace fastdiv_detail {
 
-// Full product of two coefficient spans through the best available
-// pipeline: cached-twiddle NTT when `tables` covers the result size,
-// the generic NTT when the field supports it, Karatsuba/schoolbook
-// below the transform threshold. Result has a.size()+b.size()-1
-// entries (empty if either input is empty).
-template <class Field>
-std::vector<u64> mul_full(std::span<const u64> a, std::span<const u64> b,
-                          const Field& f, const NttTables* tables) {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out = a.size() + b.size() - 1;
-  if (out >= poly_detail::kNttThreshold) {
-    // The tabled overloads exist for the Montgomery field only;
-    // the division backend converts inside the untabled overload.
-    if constexpr (!std::is_same_v<Field, PrimeField>) {
-      if (tables != nullptr && tables->modulus() == f.modulus() &&
-          out <= tables->capacity()) {
-        return ntt_convolve(a, b, f, *tables);
-      }
-    }
-    if (ntt_supports_size(f, out)) return ntt_convolve(a, b, f);
-  }
-  return poly_detail::kara(a, b, f);
-}
-
-// Cyclic convolution of the (clipped) operands mod x^n - 1 through
-// the best available transform, or an empty vector when no transform
-// fits (caller falls back to the clipped full product). The result is
-// stage scratch — it never leaves the middle-product/divrem kernels —
-// so it lives in the bound arena.
+// Cyclic convolution of the operands mod x^n - 1, or an empty vector
+// when the field cannot host a size-n transform (the caller then
+// falls back to a linear product). The result is stage scratch — it
+// never leaves the middle-product/divrem kernels — so it lives in the
+// bound arena.
 template <class Field>
 ScratchVec cyclic_or_empty(std::span<const u64> a, std::span<const u64> b,
                            std::size_t n, const Field& f,
                            const NttTables* tables) {
-  if constexpr (!std::is_same_v<Field, PrimeField>) {
-    if (tables != nullptr && tables->modulus() == f.modulus() &&
-        n <= tables->capacity()) {
-      return ntt_convolve_cyclic_scratch(a, b, n, f, tables);
-    }
-    if (ntt_supports_size(f, n)) {
-      return ntt_convolve_cyclic_scratch(a, b, n, f, nullptr);
-    }
+  if (!ntt_supports_size(f, n)) return {};
+  if constexpr (std::is_same_v<Field, PrimeField>) {
+    return ntt_convolve_cyclic_scratch(a, b, n, f);
   } else {
-    if (ntt_supports_size(f, n)) return ntt_convolve_cyclic_scratch(a, b, n, f);
+    return ntt_convolve_cyclic_scratch(a, b, n, f, tables);
   }
-  return {};
 }
 
 }  // namespace fastdiv_detail
@@ -128,10 +102,10 @@ ScratchVec cyclic_or_empty(std::span<const u64> a, std::span<const u64> b,
 // N >= hi (so the slice is a self-map under the wrap) and
 // lo + N >= full product length (so no aliased coefficient lands
 // inside the slice). One cyclic convolution at the slice size instead
-// of a padded full product. Falls back to the clipped Karatsuba
-// product below the NTT threshold or when the field's two-adicity
-// cannot host the transform; field arithmetic is exact, so both
-// paths return bit-identical words.
+// of a padded full product. Below the NTT threshold, or when the
+// field's two-adicity cannot host the wrap, the clipped linear
+// product goes through the product dispatcher (poly_detail::mul);
+// field arithmetic is exact, so both paths return bit-identical words.
 template <class Field, class Vec = std::vector<u64>>
 Vec poly_mul_middle(std::span<const u64> a, std::span<const u64> b,
                     std::size_t lo, std::size_t hi, const Field& f,
@@ -142,21 +116,18 @@ Vec poly_mul_middle(std::span<const u64> a, std::span<const u64> b,
   const std::size_t lb = std::min(b.size(), hi);
   const std::size_t full = la + lb - 1;
   if (full <= lo) return out;  // no clipped coefficient reaches x^lo
+  ScratchVec prod;  // the wrapped product, else the clipped linear one
   if (full >= poly_detail::kNttThreshold) {
     std::size_t n = 1;
     while (n < std::max(hi, full - lo)) n <<= 1;
-    ScratchVec cyc = fastdiv_detail::cyclic_or_empty(
-        a.subspan(0, la), b.subspan(0, lb), n, f, tables);
-    if (!cyc.empty()) {
-      for (std::size_t i = lo; i < hi && i < full; ++i) out[i - lo] = cyc[i];
-      return out;
-    }
+    prod = fastdiv_detail::cyclic_or_empty(a.subspan(0, la),
+                                           b.subspan(0, lb), n, f, tables);
   }
-  ScratchVec prod = poly_detail::kara<Field, ScratchVec>(
-      a.subspan(0, la), b.subspan(0, lb), f);
-  for (std::size_t i = lo; i < hi && i < prod.size(); ++i) {
-    out[i - lo] = prod[i];
+  if (prod.empty()) {
+    prod = poly_detail::mul<Field, ScratchVec>(a.subspan(0, la),
+                                               b.subspan(0, lb), f, tables);
   }
+  for (std::size_t i = lo; i < hi && i < full; ++i) out[i - lo] = prod[i];
   return out;
 }
 
@@ -383,45 +354,6 @@ void poly_divrem_auto(const Poly& a, const Poly& b, const Field& f, Poly* q,
   poly_divrem(a, b, f, q, r);
 }
 
-// Partial extended Euclidean algorithm with every quotient step (and
-// cofactor product) routed through the size-dispatching kernels —
-// the Gao decoder's remainder sequence. Semantics and results are
-// identical to poly_xgcd_partial.
-template <class Field>
-void poly_xgcd_partial_fast(const Poly& a, const Poly& b, int stop_degree,
-                            const Field& f, Poly* g, Poly* u, Poly* v,
-                            const NttTables* tables = nullptr) {
-  Poly r0 = a, r1 = b;
-  r0.trim();
-  r1.trim();
-  Poly u0 = Poly::constant(f.one(), f), u1 = Poly::zero();
-  Poly v0 = Poly::zero(), v1 = Poly::constant(f.one(), f);
-  // Cofactor products go through the same tabled pipeline as the
-  // divisions: a large quotient step makes them NTT-sized, and the
-  // untabled kernel would re-power the stage roots per call.
-  const auto mul = [&](const Poly& x, const Poly& y) {
-    Poly r{fastdiv_detail::mul_full(std::span<const u64>(x.c),
-                                    std::span<const u64>(y.c), f, tables)};
-    r.trim();
-    return r;
-  };
-  while (!r1.is_zero() && r0.degree() >= stop_degree) {
-    Poly qt, rem;
-    poly_divrem_auto(r0, r1, f, &qt, &rem, tables);
-    Poly u2 = poly_sub(u0, mul(qt, u1), f);
-    Poly v2 = poly_sub(v0, mul(qt, v1), f);
-    r0 = std::move(r1);
-    r1 = std::move(rem);
-    u0 = std::move(u1);
-    u1 = std::move(u2);
-    v0 = std::move(v1);
-    v1 = std::move(v2);
-  }
-  if (g != nullptr) *g = r0;
-  if (u != nullptr) *u = u0;
-  if (v != nullptr) *v = v0;
-}
-
 // Both fields are instantiated once in fast_div.cpp. The slice
 // kernels come in both vector flavours: std::vector for results that
 // escape the calling stage, ScratchVec for the arena-backed internal
@@ -454,10 +386,7 @@ void poly_xgcd_partial_fast(const Poly& a, const Poly& b, int stop_degree,
       const NttTables*);                                                    \
   extern template void poly_divrem_auto<Field>(const Poly&, const Poly&,    \
                                                const Field&, Poly*, Poly*,  \
-                                               const NttTables*);           \
-  extern template void poly_xgcd_partial_fast<Field>(                       \
-      const Poly&, const Poly&, int, const Field&, Poly*, Poly*, Poly*,     \
-      const NttTables*);
+                                               const NttTables*);
 
 CAMELOT_FASTDIV_EXTERN(PrimeField)
 CAMELOT_FASTDIV_EXTERN(MontgomeryField)

@@ -80,28 +80,18 @@ PolyMat22 mat_identity(const Field& f) {
   return m;
 }
 
-// Products route through the tabled NTT pipeline: half-GCD matrix
-// entries are exactly the cofactor-sized operands the fast division
-// already transforms.
-template <class Field>
-Poly mat_mul_poly(const Poly& x, const Poly& y, const Field& f,
-                  const NttTables* tables) {
-  Poly r{fastdiv_detail::mul_full(std::span<const u64>(x.c),
-                                  std::span<const u64>(y.c), f, tables)};
-  r.trim();
-  return r;
-}
-
-// (c, d) = M * (a, b).
+// (c, d) = M * (a, b). Matrix products go through poly_mul with the
+// caller's tables: half-GCD entries are exactly the cofactor-sized
+// operands the fast division already transforms.
 template <class Field>
 std::pair<Poly, Poly> mat_apply(const PolyMat22& m, const Poly& a,
                                 const Poly& b, const Field& f,
                                 const NttTables* tables) {
   if (m.identity) return {a, b};
-  Poly c = poly_add(mat_mul_poly(m.m00, a, f, tables),
-                    mat_mul_poly(m.m01, b, f, tables), f);
-  Poly d = poly_add(mat_mul_poly(m.m10, a, f, tables),
-                    mat_mul_poly(m.m11, b, f, tables), f);
+  Poly c = poly_add(poly_mul(m.m00, a, f, tables),
+                    poly_mul(m.m01, b, f, tables), f);
+  Poly d = poly_add(poly_mul(m.m10, a, f, tables),
+                    poly_mul(m.m11, b, f, tables), f);
   return {std::move(c), std::move(d)};
 }
 
@@ -111,8 +101,8 @@ template <class Field>
 void mat_step(PolyMat22& m, const Poly& q, const Field& f,
               const NttTables* tables) {
   if (m.identity) m = mat_identity(f);
-  Poly n10 = poly_sub(m.m00, mat_mul_poly(q, m.m10, f, tables), f);
-  Poly n11 = poly_sub(m.m01, mat_mul_poly(q, m.m11, f, tables), f);
+  Poly n10 = poly_sub(m.m00, poly_mul(q, m.m10, f, tables), f);
+  Poly n11 = poly_sub(m.m01, poly_mul(q, m.m11, f, tables), f);
   m.m00 = std::move(m.m10);
   m.m01 = std::move(m.m11);
   m.m10 = std::move(n10);
@@ -128,14 +118,14 @@ PolyMat22 mat_mul(const PolyMat22& a, const PolyMat22& b, const Field& f,
   if (b.identity) return a;
   PolyMat22 r;
   r.identity = false;
-  r.m00 = poly_add(mat_mul_poly(a.m00, b.m00, f, tables),
-                   mat_mul_poly(a.m01, b.m10, f, tables), f);
-  r.m01 = poly_add(mat_mul_poly(a.m00, b.m01, f, tables),
-                   mat_mul_poly(a.m01, b.m11, f, tables), f);
-  r.m10 = poly_add(mat_mul_poly(a.m10, b.m00, f, tables),
-                   mat_mul_poly(a.m11, b.m10, f, tables), f);
-  r.m11 = poly_add(mat_mul_poly(a.m10, b.m01, f, tables),
-                   mat_mul_poly(a.m11, b.m11, f, tables), f);
+  r.m00 = poly_add(poly_mul(a.m00, b.m00, f, tables),
+                   poly_mul(a.m01, b.m10, f, tables), f);
+  r.m01 = poly_add(poly_mul(a.m00, b.m01, f, tables),
+                   poly_mul(a.m01, b.m11, f, tables), f);
+  r.m10 = poly_add(poly_mul(a.m10, b.m00, f, tables),
+                   poly_mul(a.m11, b.m10, f, tables), f);
+  r.m11 = poly_add(poly_mul(a.m10, b.m01, f, tables),
+                   poly_mul(a.m11, b.m11, f, tables), f);
   return r;
 }
 
@@ -261,8 +251,9 @@ Reduced hgcd_reduce(const Poly& a, const Poly& b, int t, const Field& f,
 }  // namespace hgcd_detail
 
 // Half-GCD partial extended Euclidean algorithm: semantics, exit
-// state, and every output word identical to poly_xgcd_partial /
-// poly_xgcd_partial_fast. `crossover` 0 means hgcd_crossover();
+// state, and every output word identical to poly_xgcd_partial (a
+// crossover of SIZE_MAX runs the classical loop over
+// poly_divrem_auto). `crossover` 0 means hgcd_crossover();
 // ReedSolomonCode passes the value it was cache-keyed under. `stats`,
 // when non-null, receives the quotient-step / recursion counters.
 template <class Field>
@@ -288,8 +279,8 @@ void poly_xgcd_partial_hgcd(const Poly& a, const Poly& b, int stop_degree,
     Poly qt, rem;
     poly_divrem_auto(r0, r1, f, &qt, &rem, tables);
     ++st.quotient_steps;
-    Poly u2 = poly_sub(u0, poly_mul(qt, u1, f), f);
-    Poly v2 = poly_sub(v0, poly_mul(qt, v1, f), f);
+    Poly u2 = poly_sub(u0, poly_mul(qt, u1, f, tables), f);
+    Poly v2 = poly_sub(v0, poly_mul(qt, v1, f, tables), f);
     r0 = std::move(r1);
     r1 = std::move(rem);
     u0 = std::move(u1);
@@ -314,12 +305,12 @@ void poly_xgcd_partial_hgcd(const Poly& a, const Poly& b, int stop_degree,
   const auto row = [&](const Poly& mu, const Poly& mv, Poly* out_u,
                        Poly* out_v) {
     if (out_u != nullptr) {
-      *out_u = poly_add(hgcd_detail::mat_mul_poly(mu, u0, f, tables),
-                        hgcd_detail::mat_mul_poly(mv, u1, f, tables), f);
+      *out_u = poly_add(poly_mul(mu, u0, f, tables),
+                        poly_mul(mv, u1, f, tables), f);
     }
     if (out_v != nullptr) {
-      *out_v = poly_add(hgcd_detail::mat_mul_poly(mu, v0, f, tables),
-                        hgcd_detail::mat_mul_poly(mv, v1, f, tables), f);
+      *out_v = poly_add(poly_mul(mu, v0, f, tables),
+                        poly_mul(mv, v1, f, tables), f);
     }
   };
   if (red.m.identity) {

@@ -28,7 +28,7 @@ SubproductTree::SubproductTree(std::span<const u64> points,
     next.reserve((prev.size() + 1) / 2);
     for (std::size_t i = 0; i < prev.size(); i += 2) {
       if (i + 1 < prev.size()) {
-        next.push_back(mul(prev[i], prev[i + 1]));
+        next.push_back(poly_mul(prev[i], prev[i + 1], mont_, ntt_.get()));
       } else {
         next.push_back(prev[i]);  // odd node carried up unchanged
       }
@@ -37,18 +37,6 @@ SubproductTree::SubproductTree(std::span<const u64> points,
   }
   build_inverses();
   root_plain_ = Poly{mont_.from_mont_vec(levels_.back()[0].c)};
-}
-
-Poly SubproductTree::mul(const Poly& a, const Poly& b) const {
-  if (!a.is_zero() && !b.is_zero() && ntt_ != nullptr) {
-    const std::size_t out = a.c.size() + b.c.size() - 1;
-    if (out >= poly_detail::kNttThreshold && out <= ntt_->capacity()) {
-      Poly r{ntt_convolve(a.c, b.c, mont_, *ntt_)};
-      r.trim();
-      return r;
-    }
-  }
-  return poly_mul(a, b, mont_);
 }
 
 const Poly& SubproductTree::root_mont() const { return levels_.back()[0]; }
@@ -192,22 +180,6 @@ std::vector<u64> SubproductTree::evaluate(const Poly& p,
   return out;
 }
 
-ScratchVec SubproductTree::mul_scratch(std::span<const u64> a,
-                                       std::span<const u64> b) const {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out = a.size() + b.size() - 1;
-  if (ntt_ != nullptr && out >= poly_detail::kNttThreshold &&
-      out <= ntt_->capacity()) {
-    return ntt_convolve_scratch(a, b, mont_, ntt_.get());
-  }
-  if (out >= poly_detail::kNttThreshold && ntt_supports_size(mont_, out)) {
-    return ntt_convolve_scratch(a, b, mont_);
-  }
-  // kara_rec runs the same addmul rows as schoolbook below its
-  // threshold, so one ladder covers every sub-NTT size.
-  return poly_detail::kara<MontgomeryField, ScratchVec>(a, b, mont_);
-}
-
 ScratchVec SubproductTree::interp_rec(std::span<const u64> weighted,
                                       std::size_t level, std::size_t idx,
                                       std::size_t lo, std::size_t hi) const {
@@ -226,8 +198,10 @@ ScratchVec SubproductTree::interp_rec(std::span<const u64> weighted,
   }
   const ScratchVec pl = interp_rec(weighted, level - 1, left, lo, mid);
   const ScratchVec pr = interp_rec(weighted, level - 1, right, mid, hi);
-  ScratchVec sum = mul_scratch(pl, child_level[right].c);
-  ScratchVec other = mul_scratch(pr, child_level[left].c);
+  ScratchVec sum = poly_detail::mul<MontgomeryField, ScratchVec>(
+      pl, child_level[right].c, mont_, ntt_.get());
+  ScratchVec other = poly_detail::mul<MontgomeryField, ScratchVec>(
+      pr, child_level[left].c, mont_, ntt_.get());
   if (sum.size() < other.size()) sum.swap(other);
   const MontgomeryField m = mont_;
   for (std::size_t i = 0; i < other.size(); ++i) {

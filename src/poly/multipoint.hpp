@@ -82,10 +82,6 @@ class SubproductTree {
   Poly interpolate_mont(std::span<const u64> values_mont) const;
 
  private:
-  // Product dispatch: cached-twiddle NTT when the tables cover the
-  // result size, the generic poly_mul ladder otherwise.
-  Poly mul(const Poly& a, const Poly& b) const;
-
   // Newton inverses for every node the descent divides by at or above
   // the crossover (fast_div.hpp); built once at construction.
   void build_inverses();
@@ -128,9 +124,6 @@ class SubproductTree {
   // golden path.)
   ScratchVec interp_rec(std::span<const u64> weighted, std::size_t level,
                         std::size_t idx, std::size_t lo, std::size_t hi) const;
-  // mul() for the ascent: same tabled-NTT/ladder dispatch, scratch
-  // coefficients in and out.
-  ScratchVec mul_scratch(std::span<const u64> a, std::span<const u64> b) const;
 };
 
 // Convenience one-shot wrappers.

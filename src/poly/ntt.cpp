@@ -1,36 +1,14 @@
 #include "poly/ntt.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 #include <type_traits>
 
 #include "field/shoup.hpp"
 
 namespace camelot {
 
-namespace {
-
-bool detect_shoup_enabled() noexcept {
-  const char* v = std::getenv("CAMELOT_SHOUP");
-  if (v == nullptr) return true;
-  const std::string_view s(v);
-  return !(s == "off" || s == "0");
-}
-
-std::atomic<bool> g_shoup_enabled{detect_shoup_enabled()};
-
-}  // namespace
-
-bool ntt_shoup_enabled() noexcept {
-  return g_shoup_enabled.load(std::memory_order_relaxed);
-}
-
-void set_ntt_shoup_enabled(bool enabled) noexcept {
-  g_shoup_enabled.store(enabled, std::memory_order_relaxed);
-}
+bool ntt_shoup_enabled() noexcept { return true; }
 
 namespace {
 
@@ -46,11 +24,10 @@ int log2_exact(std::size_t n) {
   return k;
 }
 
-// Validation + bit-reversal permutation shared by both butterfly
-// kernels. Throws before permuting, so a failed call leaves the
-// input untouched. Templated on the vector type so the same code
-// runs on callers' std::vector buffers and on arena-backed
-// ScratchVec work buffers.
+// Validation + bit-reversal permutation. Throws before permuting, so
+// a failed call leaves the input untouched. Templated on the vector
+// type so the same code runs on callers' std::vector buffers and on
+// arena-backed ScratchVec work buffers.
 template <class Vec>
 void check_size_and_bit_reverse(Vec& a, int max_log2) {
   const std::size_t n = a.size();
@@ -68,78 +45,53 @@ void check_size_and_bit_reverse(Vec& a, int max_log2) {
   }
 }
 
-// Radix-2 kernel in the Montgomery domain (tables == nullptr powers
-// each stage's twiddles on the fly). Butterfly stages and the final
-// 1/n scaling go through the context's batch kernels, so they run on
-// its lane table when it has one; tabled transforms additionally take
-// the Shoup-quotient butterfly (canonical twiddle + precomputed
-// quotient, no REDC) unless CAMELOT_SHOUP disables it. Every
-// combination computes the identical multiplication sequence mod q —
-// and hence every output word — so tables and butterfly flavors can
-// be mixed freely.
+// Radix-2 kernel in the Montgomery domain. Butterfly stages and the
+// final 1/n scaling go through the context's batch kernels, so they
+// run on its lane table when it has one. Tables that cover n supply
+// the Shoup butterfly's canonical twiddles and quotients; otherwise
+// each stage powers its root on the fly and takes the REDC butterfly.
+// Both compute the identical multiplication sequence mod q — and
+// hence every output word.
 template <class Vec>
 void ntt_kernel(Vec& a, bool inverse, const MontgomeryField& fref,
                 const NttTables* tables) {
   // By-value copy keeps the Montgomery constants in registers across
   // the butterfly stores (a reference could alias the written data).
   const MontgomeryField f = fref;
-  const std::size_t n = a.size();
-  if (tables != nullptr) {
-    if (tables->modulus() != f.modulus()) {
-      throw std::invalid_argument(
-          "ntt_inplace: twiddle table modulus mismatch");
-    }
-    if (n > tables->capacity()) {
-      throw std::invalid_argument("ntt_inplace: twiddle table too small");
-    }
-    // Capacity is clamped to the field's two-adicity, so n <= capacity
-    // already bounds the transform length.
-    check_size_and_bit_reverse(a, log2_exact(tables->capacity()));
-  } else {
-    check_size_and_bit_reverse(a, f.two_adicity());
+  if (tables != nullptr && tables->modulus() != f.modulus()) {
+    throw std::invalid_argument("ntt_inplace: twiddle table modulus mismatch");
   }
+  check_size_and_bit_reverse(a, f.two_adicity());
+  const std::size_t n = a.size();
   const int lg = log2_exact(n);
-  const bool shoup =
-      tables != nullptr && tables->has_shoup() && ntt_shoup_enabled();
-  ScratchVec scratch;  // untabled twiddle chain, freed at stage end
+  const bool tabled = tables != nullptr && n <= tables->capacity();
+  ScratchVec chain;  // untabled stage twiddles
   for (int k = 1; k <= lg; ++k) {
     const std::size_t len = std::size_t{1} << k;
-    if (shoup) {
-      const std::span<const u64> op = inverse
-                                          ? tables->stage_inverse_shoup_op(k)
-                                          : tables->stage_forward_shoup_op(k);
-      const std::span<const u64> qt = inverse
-                                          ? tables->stage_inverse_shoup_qt(k)
-                                          : tables->stage_forward_shoup_qt(k);
-      f.ntt_stage_shoup(a.data(), n, len, op.data(), qt.data());
+    if (tabled) {
+      f.ntt_stage_shoup(a.data(), n, len, tables->op(k, inverse).data(),
+                        tables->qt(k, inverse).data());
       continue;
     }
-    std::span<const u64> tw;
-    if (tables != nullptr) {
-      tw = inverse ? tables->stage_inverse(k) : tables->stage_forward(k);
-    } else {
-      const std::size_t half = len / 2;
-      u64 wlen = f.root_of_unity(k);
-      if (inverse) wlen = f.inv(wlen);
-      scratch.resize(half);
-      scratch[0] = f.one();
-      for (std::size_t j = 1; j < half; ++j) {
-        scratch[j] = f.mul(scratch[j - 1], wlen);
-      }
-      tw = scratch;
+    const std::size_t half = len / 2;
+    u64 wlen = f.root_of_unity(k);
+    if (inverse) wlen = f.inv(wlen);
+    chain.resize(half);
+    chain[0] = f.one();
+    for (std::size_t j = 1; j < half; ++j) {
+      chain[j] = f.mul(chain[j - 1], wlen);
     }
-    f.ntt_stage(a.data(), n, len, tw.data());
+    f.ntt_stage(a.data(), n, len, chain.data());
   }
   if (inverse) {
-    const u64 n_inv =
-        tables != nullptr ? tables->n_inv(lg) : f.inv(f.from_u64(n));
+    const u64 n_inv = tabled ? tables->n_inv(lg) : f.inv(f.from_u64(n));
     f.scale_vec(a.data(), n_inv, a.data(), n);
   }
 }
 
 // Both convolution kernels run their transform buffers as arena
-// scratch and copy into the caller's vector type only when it
-// differs — the public std::vector overloads pay one result copy,
+// scratch; the linear one copies into the caller's vector type only
+// when it differs — the std::vector overloads pay one result copy,
 // the ScratchVec pipeline none.
 template <class Vec>
 Vec convolve_kernel(std::span<const u64> a, std::span<const u64> b,
@@ -177,13 +129,12 @@ ScratchVec fold_mod_xn(std::span<const u64> src, std::size_t n,
   return out;
 }
 
-template <class Vec>
-Vec cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
-                  std::size_t n, const MontgomeryField& f,
-                  const NttTables* tables) {
+ScratchVec cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
+                         std::size_t n, const MontgomeryField& f,
+                         const NttTables* tables) {
   if (n == 0 || (n & (n - 1)) != 0) {
     throw std::invalid_argument(
-        "ntt_convolve_cyclic: size must be a power of two");
+        "ntt_convolve_cyclic_scratch: size must be a power of two");
   }
   ScratchVec fa = fold_mod_xn(a, n, f);
   ScratchVec fb = fold_mod_xn(b, n, f);
@@ -191,11 +142,7 @@ Vec cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
   ntt_kernel(fb, false, f, tables);
   f.mul_vec(fa.data(), fb.data(), fa.data(), n);
   ntt_kernel(fa, true, f, tables);
-  if constexpr (std::is_same_v<Vec, ScratchVec>) {
-    return fa;
-  } else {
-    return Vec(fa.begin(), fa.end());
-  }
+  return fa;
 }
 
 }  // namespace
@@ -213,48 +160,37 @@ NttTables::NttTables(const MontgomeryField& m, std::size_t max_size)
         m.inv(m.from_u64(u64{1} << k));
   }
   if (capacity_ < 2) return;
-  const u64 w = m.root_of_unity(lg);
-  const u64 w_inv = m.inv(w);
-  fwd_.resize(capacity_ - 1);
-  inv_.resize(capacity_ - 1);
-  // Top stage (order capacity()): the power chain of w / w^{-1}.
+  fwd_op_.resize(capacity_ - 1);
+  inv_op_.resize(capacity_ - 1);
+  // Top stage (order capacity()): the power chain of w / w^{-1}, formed
+  // in the Montgomery domain and then mapped to canonical words.
   {
+    const u64 w = m.root_of_unity(lg);
+    const u64 w_inv = m.inv(w);
     const std::size_t half = capacity_ / 2;
-    u64* top_f = fwd_.data() + (half - 1);
-    u64* top_i = inv_.data() + (half - 1);
+    const std::span<u64> top_f(fwd_op_.data() + (half - 1), half);
+    const std::span<u64> top_i(inv_op_.data() + (half - 1), half);
     top_f[0] = top_i[0] = m.one();
     for (std::size_t j = 1; j < half; ++j) {
       top_f[j] = m.mul(top_f[j - 1], w);
       top_i[j] = m.mul(top_i[j - 1], w_inv);
     }
+    m.from_mont_inplace(top_f);
+    m.from_mont_inplace(top_i);
   }
   // Stage k twiddles are every other entry of stage k+1
   // (w_k = w_{k+1}^2), so the lower stages are strided copies.
   for (int k = lg - 1; k >= 1; --k) {
     const std::size_t half = std::size_t{1} << (k - 1);
-    const u64* src_f = fwd_.data() + (2 * half - 1);
-    const u64* src_i = inv_.data() + (2 * half - 1);
-    u64* dst_f = fwd_.data() + (half - 1);
-    u64* dst_i = inv_.data() + (half - 1);
     for (std::size_t j = 0; j < half; ++j) {
-      dst_f[j] = src_f[2 * j];
-      dst_i[j] = src_i[2 * j];
+      fwd_op_[half - 1 + j] = fwd_op_[2 * half - 1 + 2 * j];
+      inv_op_[half - 1 + j] = inv_op_[2 * half - 1 + 2 * j];
     }
   }
-  // Shoup twins: canonical twiddle + floor(w*2^64/q) per entry, same
-  // layout. Skipped in identity-domain mode (q == 2), where Shoup's
-  // w < q < 2^63 precondition holds but there is nothing to win and
-  // the REDC path is already multiplication-free.
-  if (m.trivial()) return;
-  const std::size_t entries = capacity_ - 1;
-  fwd_op_.resize(entries);
-  fwd_qt_.resize(entries);
-  inv_op_.resize(entries);
-  inv_qt_.resize(entries);
-  for (std::size_t i = 0; i < entries; ++i) {
-    fwd_op_[i] = m.from_mont(fwd_[i]);
+  fwd_qt_.resize(capacity_ - 1);
+  inv_qt_.resize(capacity_ - 1);
+  for (std::size_t i = 0; i + 1 < capacity_; ++i) {
     fwd_qt_[i] = shoup_quotient(fwd_op_[i], q_);
-    inv_op_[i] = m.from_mont(inv_[i]);
     inv_qt_[i] = shoup_quotient(inv_op_[i], q_);
   }
 }
@@ -283,14 +219,9 @@ void ntt_inplace(std::vector<u64>& a, bool inverse, const PrimeField& f) {
   m.from_mont_inplace(a);
 }
 
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryField& f) {
-  ntt_kernel(a, inverse, f, nullptr);
-}
-
 void ntt_inplace(std::vector<u64>& a, bool inverse, const MontgomeryField& f,
-                 const NttTables& tables) {
-  ntt_kernel(a, inverse, f, &tables);
+                 const NttTables* tables) {
+  ntt_kernel(a, inverse, f, tables);
 }
 
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
@@ -304,16 +235,10 @@ std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
 }
 
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryField& f) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, nullptr);
-}
-
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryField& f,
-                              const NttTables& tables) {
+                              const NttTables* tables) {
   if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, &tables);
+  return convolve_kernel<std::vector<u64>>(a, b, f, tables);
 }
 
 ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
@@ -323,29 +248,6 @@ ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
   return convolve_kernel<ScratchVec>(a, b, f, tables);
 }
 
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const PrimeField& f) {
-  const MontgomeryField m(f);
-  std::vector<u64> fa = m.to_mont_vec(a), fb = m.to_mont_vec(b);
-  std::vector<u64> r = cyclic_kernel<std::vector<u64>>(fa, fb, n, m, nullptr);
-  m.from_mont_inplace(r);
-  return r;
-}
-
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryField& f) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, nullptr);
-}
-
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryField& f,
-                                     const NttTables& tables) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, &tables);
-}
-
 ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
                                        std::span<const u64> b, std::size_t n,
                                        const PrimeField& f) {
@@ -353,7 +255,7 @@ ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
   ScratchVec fa(a.size()), fb(b.size());
   for (std::size_t i = 0; i < a.size(); ++i) fa[i] = m.to_mont(a[i]);
   for (std::size_t i = 0; i < b.size(); ++i) fb[i] = m.to_mont(b[i]);
-  ScratchVec r = cyclic_kernel<ScratchVec>(fa, fb, n, m, nullptr);
+  ScratchVec r = cyclic_kernel(fa, fb, n, m, nullptr);
   for (u64& v : r) v = m.from_mont(v);
   return r;
 }
@@ -362,7 +264,7 @@ ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
                                        std::span<const u64> b, std::size_t n,
                                        const MontgomeryField& f,
                                        const NttTables* tables) {
-  return cyclic_kernel<ScratchVec>(a, b, n, f, tables);
+  return cyclic_kernel(a, b, n, f, tables);
 }
 
 }  // namespace camelot

@@ -19,7 +19,8 @@ bool poly_equal(const Poly& a, const Poly& b) {
                                            const Field&);                  \
   template Poly poly_mul_karatsuba<Field>(const Poly&, const Poly&,        \
                                           const Field&);                   \
-  template Poly poly_mul<Field>(const Poly&, const Poly&, const Field&);   \
+  template Poly poly_mul<Field>(const Poly&, const Poly&, const Field&,    \
+                                const NttTables*);                        \
   template void poly_divrem<Field>(const Poly&, const Poly&, const Field&, \
                                    Poly*, Poly*);                          \
   template Poly poly_rem<Field>(const Poly&, const Poly&, const Field&);   \

@@ -104,27 +104,6 @@ Poly poly_scale(const Poly& a, u64 s, const Field& fref) {
   return r;
 }
 
-// Quadratic-time product (kept public for differential testing).
-template <class Field>
-Poly poly_mul_schoolbook(const Poly& a, const Poly& b, const Field& fref) {
-  if (a.is_zero() || b.is_zero()) return Poly::zero();
-  const Field f = fref;
-  Poly r;
-  r.c.assign(a.c.size() + b.c.size() - 1, 0);
-  for (std::size_t i = 0; i < a.c.size(); ++i) {
-    if (a.c[i] == 0) continue;
-    if constexpr (FieldHasBatchKernels<Field>) {
-      f.addmul_inplace(r.c.data() + i, a.c[i], b.c.data(), b.c.size());
-    } else {
-      for (std::size_t j = 0; j < b.c.size(); ++j) {
-        r.c[i + j] = f.add(r.c[i + j], f.mul(a.c[i], b.c[j]));
-      }
-    }
-  }
-  r.trim();
-  return r;
-}
-
 namespace poly_detail {
 
 // Below this size schoolbook beats Karatsuba; below ~512 coefficients
@@ -132,28 +111,37 @@ namespace poly_detail {
 constexpr std::size_t kKaratsubaThreshold = 32;
 constexpr std::size_t kNttThreshold = 512;
 
+// Quadratic product on raw coefficient spans into the caller's vector
+// type: a.size()+b.size()-1 entries, empty if either input is.
+template <class Field, class Vec>
+Vec schoolbook(std::span<const u64> a, std::span<const u64> b,
+               const Field& fref) {
+  if (a.empty() || b.empty()) return {};
+  const Field f = fref;  // registers, not reloads, across the stores
+  Vec r(a.size() + b.size() - 1, 0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i] == 0) continue;
+    if constexpr (FieldHasBatchKernels<Field>) {
+      f.addmul_inplace(r.data() + i, a[i], b.data(), b.size());
+    } else {
+      for (std::size_t j = 0; j < b.size(); ++j) {
+        r[i + j] = f.add(r[i + j], f.mul(a[i], b[j]));
+      }
+    }
+  }
+  return r;
+}
+
 // Karatsuba recursion on raw coefficient spans; every temporary
 // (split sums, the three sub-products, the recombination buffer) is
 // arena scratch when the calling thread has one bound.
 template <class Field>
 ScratchVec kara_rec(std::span<const u64> a, std::span<const u64> b,
                     const Field& fref) {
-  if (a.empty() || b.empty()) return {};
-  const Field f = fref;
   if (a.size() < kKaratsubaThreshold || b.size() < kKaratsubaThreshold) {
-    ScratchVec r(a.size() + b.size() - 1, 0);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i] == 0) continue;
-      if constexpr (FieldHasBatchKernels<Field>) {
-        f.addmul_inplace(r.data() + i, a[i], b.data(), b.size());
-      } else {
-        for (std::size_t j = 0; j < b.size(); ++j) {
-          r[i + j] = f.add(r[i + j], f.mul(a[i], b[j]));
-        }
-      }
-    }
-    return r;
+    return schoolbook<Field, ScratchVec>(a, b, fref);
   }
+  const Field f = fref;
   const std::size_t h = std::max(a.size(), b.size()) / 2;
   auto lo = [&](std::span<const u64> v) {
     return v.subspan(0, std::min(h, v.size()));
@@ -186,11 +174,15 @@ ScratchVec kara_rec(std::span<const u64> a, std::span<const u64> b,
   return r;
 }
 
-// Karatsuba product into the caller's vector type; result has
-// n+m-1 entries. Vec = ScratchVec moves the recursion's buffer out
-// directly; the std::vector default copies once at the top.
+// Karatsuba product into the caller's vector type (schoolbook below
+// kKaratsubaThreshold); result has n+m-1 entries. Vec = ScratchVec
+// moves the recursion's buffer out directly; the std::vector default
+// copies once at the top.
 template <class Field, class Vec = std::vector<u64>>
 Vec kara(std::span<const u64> a, std::span<const u64> b, const Field& f) {
+  if (a.size() < kKaratsubaThreshold || b.size() < kKaratsubaThreshold) {
+    return schoolbook<Field, Vec>(a, b, f);
+  }
   ScratchVec r = kara_rec(a, b, f);
   if constexpr (std::is_same_v<Vec, ScratchVec>) {
     return r;
@@ -199,7 +191,45 @@ Vec kara(std::span<const u64> a, std::span<const u64> b, const Field& f) {
   }
 }
 
+// The product dispatcher — the one place the NTT/Karatsuba choice is
+// made. Products of at least kNttThreshold words go through the NTT
+// when the field hosts the transform (the tabled Shoup butterfly when
+// `tables` covers it, the REDC twiddle chain otherwise; the PrimeField
+// reference is always untabled), everything else through Karatsuba
+// with its schoolbook base case. Field arithmetic is exact, so every
+// path returns the same words. Result has a.size()+b.size()-1 entries
+// (empty if either input is empty).
+template <class Field, class Vec = std::vector<u64>>
+Vec mul(std::span<const u64> a, std::span<const u64> b, const Field& f,
+        const NttTables* tables = nullptr) {
+  if (a.empty() || b.empty()) return {};
+  const std::size_t out = a.size() + b.size() - 1;
+  if (out < kNttThreshold || !ntt_supports_size(f, out)) {
+    return kara<Field, Vec>(a, b, f);
+  }
+  if constexpr (std::is_same_v<Field, PrimeField>) {
+    std::vector<u64> r = ntt_convolve(a, b, f);
+    if constexpr (std::is_same_v<Vec, std::vector<u64>>) {
+      return r;
+    } else {
+      return Vec(r.begin(), r.end());
+    }
+  } else if constexpr (std::is_same_v<Vec, ScratchVec>) {
+    return ntt_convolve_scratch(a, b, f, tables);
+  } else {
+    return ntt_convolve(a, b, f, tables);
+  }
+}
+
 }  // namespace poly_detail
+
+// Quadratic-time product (kept public for differential testing).
+template <class Field>
+Poly poly_mul_schoolbook(const Poly& a, const Poly& b, const Field& f) {
+  Poly r{poly_detail::schoolbook<Field, std::vector<u64>>(a.c, b.c, f)};
+  r.trim();
+  return r;
+}
 
 // Karatsuba product (public for differential testing).
 template <class Field>
@@ -209,21 +239,15 @@ Poly poly_mul_karatsuba(const Poly& a, const Poly& b, const Field& f) {
   return r;
 }
 
-// Product. Dispatches schoolbook / Karatsuba / NTT by size and by
-// whether the field supports a large enough transform.
+// Product through poly_detail::mul. `tables` (Montgomery field only;
+// null for none) must share f's modulus and is used when it covers the
+// transform.
 template <class Field>
-Poly poly_mul(const Poly& a, const Poly& b, const Field& f) {
-  if (a.is_zero() || b.is_zero()) return Poly::zero();
-  const std::size_t out = a.c.size() + b.c.size() - 1;
-  if (out >= poly_detail::kNttThreshold && ntt_supports_size(f, out)) {
-    Poly r{ntt_convolve(a.c, b.c, f)};
-    r.trim();
-    return r;
-  }
-  if (std::min(a.c.size(), b.c.size()) >= poly_detail::kKaratsubaThreshold) {
-    return poly_mul_karatsuba(a, b, f);
-  }
-  return poly_mul_schoolbook(a, b, f);
+Poly poly_mul(const Poly& a, const Poly& b, const Field& f,
+              const NttTables* tables = nullptr) {
+  Poly r{poly_detail::mul(a.c, b.c, f, tables)};
+  r.trim();
+  return r;
 }
 
 // Euclidean division: a = q*b + r with deg r < deg b. Requires b != 0.
@@ -365,7 +389,7 @@ bool poly_equal(const Poly& a, const Poly& b);
   extern template Poly poly_mul_karatsuba<Field>(const Poly&, const Poly&,  \
                                                  const Field&);             \
   extern template Poly poly_mul<Field>(const Poly&, const Poly&,            \
-                                       const Field&);                       \
+                                       const Field&, const NttTables*);     \
   extern template void poly_divrem<Field>(const Poly&, const Poly&,         \
                                           const Field&, Poly*, Poly*);      \
   extern template Poly poly_rem<Field>(const Poly&, const Poly&,            \

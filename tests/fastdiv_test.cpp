@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <random>
 
@@ -15,6 +16,7 @@
 #include "core/symbol_stream.hpp"
 #include "field/field_ops.hpp"
 #include "field/primes.hpp"
+#include "poly/hgcd.hpp"
 #include "poly/multipoint.hpp"
 #include "rs/gao.hpp"
 #include "rs/reed_solomon.hpp"
@@ -224,14 +226,17 @@ TEST(FastDiv, ThreeBackendBitIdentity) {
   if (!ran_lanes) GTEST_SKIP() << "no lane kernel table resolved";
 }
 
-TEST(FastDiv, XgcdFastMatchesClassic) {
+TEST(FastDiv, XgcdOverAutoDivisionMatchesClassic) {
+  // A crossover of SIZE_MAX keeps poly_xgcd_partial_hgcd in its
+  // classical loop, every quotient step through poly_divrem_auto.
   PrimeField f(find_ntt_prime(1 << 16, 16));
   std::mt19937_64 rng(8);
   Poly a = random_poly(700, f, rng), b = random_poly(650, f, rng);
   for (int stop : {0, 100, 350, 699}) {
     Poly g1, u1, v1, g2, u2, v2;
     poly_xgcd_partial(a, b, stop, f, &g1, &u1, &v1);
-    poly_xgcd_partial_fast(a, b, stop, f, &g2, &u2, &v2);
+    poly_xgcd_partial_hgcd(a, b, stop, f, &g2, &u2, &v2, nullptr, nullptr,
+                           SIZE_MAX);
     EXPECT_EQ(g1.c, g2.c) << "stop=" << stop;
     EXPECT_EQ(u1.c, u2.c) << "stop=" << stop;
     EXPECT_EQ(v1.c, v2.c) << "stop=" << stop;

@@ -77,8 +77,7 @@ TEST(Hgcd, DegenerateShapes) {
   expect_same_xgcd(a, Poly::zero(), 10, f, 1);
   expect_same_xgcd(Poly::zero(), a, 10, f, 1);
   // Exact division inside the sequence (gcd hit before the stop).
-  Poly prod{fastdiv_detail::mul_full(std::span<const u64>(a.c),
-                                     std::span<const u64>(b.c), f, nullptr)};
+  Poly prod = poly_mul(a, b, f);
   expect_same_xgcd(prod, a, 3, f, 1);
 }
 

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
+#include <string>
 
+#include "field/field_ops.hpp"
+#include "field/montgomery_avx512.hpp"
+#include "field/montgomery_simd.hpp"
 #include "field/primes.hpp"
+#include "poly/poly.hpp"
 
 namespace camelot {
 namespace {
@@ -93,7 +99,7 @@ TEST(NttTablesTest, TabledKernelMatchesPlainKernel) {
     for (bool inverse : {false, true}) {
       std::vector<u64> plain = a, tabled = a;
       ntt_inplace(plain, inverse, m);
-      ntt_inplace(tabled, inverse, m, tables);
+      ntt_inplace(tabled, inverse, m, &tables);
       EXPECT_EQ(plain, tabled) << "n=" << n << " inverse=" << inverse;
     }
   }
@@ -107,7 +113,7 @@ TEST(NttTablesTest, TabledConvolveMatchesPlain) {
   std::vector<u64> a(100), b(57);
   for (u64& v : a) v = m.to_mont(rng() % f.modulus());
   for (u64& v : b) v = m.to_mont(rng() % f.modulus());
-  EXPECT_EQ(ntt_convolve(a, b, m), ntt_convolve(a, b, m, tables));
+  EXPECT_EQ(ntt_convolve(a, b, m), ntt_convolve(a, b, m, &tables));
 }
 
 TEST(NttTablesTest, CapacityClampedByTwoAdicity) {
@@ -116,7 +122,8 @@ TEST(NttTablesTest, CapacityClampedByTwoAdicity) {
   NttTables tables(m, 4096);
   EXPECT_EQ(tables.capacity(), 16u);
   std::vector<u64> a(32, 1);
-  EXPECT_THROW(ntt_inplace(a, false, m, tables), std::invalid_argument);
+  // Past the table the untabled kernel runs, and 32 exceeds 2^a.
+  EXPECT_THROW(ntt_inplace(a, false, m, &tables), std::invalid_argument);
 }
 
 TEST(NttTablesTest, RejectsModulusMismatch) {
@@ -124,39 +131,39 @@ TEST(NttTablesTest, RejectsModulusMismatch) {
   MontgomeryField mf(f), mg(g);
   NttTables tables(mf, 64);
   std::vector<u64> a(16, 1);
-  EXPECT_THROW(ntt_inplace(a, false, mg, tables), std::invalid_argument);
+  EXPECT_THROW(ntt_inplace(a, false, mg, &tables), std::invalid_argument);
 }
 
-// RAII guard: every Shoup toggle test must leave the process-wide
-// switch the way it found it, or later tests would silently run the
-// wrong butterfly.
-class ShoupToggleGuard {
- public:
-  ShoupToggleGuard() : saved_(ntt_shoup_enabled()) {}
-  ~ShoupToggleGuard() { set_ntt_shoup_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-TEST(NttShoup, TablesCarryQuotientTwins) {
-  PrimeField f(7681);
-  MontgomeryField m(f);
-  NttTables tables(m, 512);
-  EXPECT_TRUE(tables.has_shoup());
-  // q == 2 has no Montgomery form, hence no Shoup twins.
+TEST(NttTablesTest, TrivialFieldHasNoStages) {
+  // q == 2 has two-adicity 0: capacity 1, so no twiddle stages and
+  // nothing for the butterfly to read; the size-1 transform is the
+  // identity either way.
   MontgomeryField m2{PrimeField(2)};
   NttTables trivial(m2, 16);
-  EXPECT_FALSE(trivial.has_shoup());
+  EXPECT_EQ(trivial.capacity(), 1u);
+  std::vector<u64> a = {1};
+  ntt_inplace(a, false, m2, &trivial);
+  EXPECT_EQ(a, std::vector<u64>{1});
 }
 
-TEST(NttShoup, ForcedShoupMatchesRedcAcrossPrimeWidths) {
-  // The Shoup quotient butterfly must reproduce the REDC butterfly
-  // words exactly — on a narrow prime (q < 2^31, the lane-dispatch
-  // regime) and on a wide one (q >= 2^32, where the quotient product
-  // replaces the second widening multiply). Both transform directions
-  // and convolution, across tail-heavy sizes.
-  ShoupToggleGuard guard;
+// Canonical PrimeField transform of Montgomery-domain input, mapped
+// back into the domain: the reference words both Montgomery paths
+// must reproduce.
+std::vector<u64> reference_ntt(const std::vector<u64>& a_mont, bool inverse,
+                               const MontgomeryField& m) {
+  std::vector<u64> plain = m.from_mont_vec(a_mont);
+  ntt_inplace(plain, inverse, m.base());
+  return m.to_mont_vec(plain);
+}
+
+TEST(NttShoup, TabledMatchesUntabledAcrossPrimeWidths) {
+  // The tabled Shoup butterfly, the untabled REDC twiddle chain and
+  // the PrimeField reference must agree word for word — on a narrow
+  // prime (q < 2^31, the lane-dispatch regime) and on wide ones
+  // (q >= 2^32, where the quotient product replaces the second
+  // widening multiply). Both transform directions and convolution,
+  // across tail-heavy sizes; 1024 is past the table's capacity and
+  // must fall back to the chain with the same words.
   std::mt19937_64 rng(0x540F);
   for (u64 q : {u64{7681}, find_ntt_prime(1u << 29, 16),
                 find_ntt_prime(u64{1} << 40, 20),
@@ -164,44 +171,74 @@ TEST(NttShoup, ForcedShoupMatchesRedcAcrossPrimeWidths) {
     PrimeField f(q);
     MontgomeryField m(f);
     NttTables tables(m, 512);
-    for (std::size_t n : {1u, 2u, 16u, 128u, 512u}) {
+    ASSERT_EQ(tables.capacity(), 512u) << "q=" << q;
+    for (std::size_t n : {1u, 2u, 16u, 128u, 512u, 1024u}) {
+      if (static_cast<int>(std::countr_zero(n)) > f.two_adicity()) continue;
       std::vector<u64> a(n);
       for (u64& v : a) v = m.to_mont(rng() % q);
       for (bool inverse : {false, true}) {
-        std::vector<u64> redc = a, shoup = a;
-        set_ntt_shoup_enabled(false);
-        ntt_inplace(redc, inverse, m, tables);
-        set_ntt_shoup_enabled(true);
-        ntt_inplace(shoup, inverse, m, tables);
-        EXPECT_EQ(shoup, redc)
-            << "q=" << q << " n=" << n << " inverse=" << inverse;
+        std::vector<u64> tabled = a, untabled = a;
+        ntt_inplace(tabled, inverse, m, &tables);
+        ntt_inplace(untabled, inverse, m);
+        const std::string where = "q=" + std::to_string(q) +
+                                  " n=" + std::to_string(n) +
+                                  " inverse=" + std::to_string(inverse);
+        EXPECT_EQ(tabled, untabled) << where;
+        EXPECT_EQ(tabled, reference_ntt(a, inverse, m)) << where;
       }
     }
     std::vector<u64> a(100), b(57);
     for (u64& v : a) v = m.to_mont(rng() % q);
     for (u64& v : b) v = m.to_mont(rng() % q);
-    set_ntt_shoup_enabled(false);
-    const std::vector<u64> conv_redc = ntt_convolve(a, b, m, tables);
-    set_ntt_shoup_enabled(true);
-    EXPECT_EQ(ntt_convolve(a, b, m, tables), conv_redc) << "q=" << q;
+    const std::vector<u64> conv = ntt_convolve(a, b, m, &tables);
+    EXPECT_EQ(conv, ntt_convolve(a, b, m)) << "q=" << q;
+    EXPECT_EQ(m.from_mont_vec(conv),
+              ntt_convolve(m.from_mont_vec(a), m.from_mont_vec(b), f))
+        << "q=" << q;
   }
 }
 
-TEST(NttShoup, UntabledTransformIgnoresToggle) {
-  // Without tables there are no precomputed quotients; the toggle
-  // must be a no-op rather than a behavior change.
-  ShoupToggleGuard guard;
-  PrimeField f(7681);
-  MontgomeryField m(f);
-  std::mt19937_64 rng(0x541F);
-  std::vector<u64> a(128);
-  for (u64& v : a) v = m.to_mont(rng() % f.modulus());
-  std::vector<u64> on = a, off = a;
-  set_ntt_shoup_enabled(true);
-  ntt_inplace(on, false, m);
-  set_ntt_shoup_enabled(false);
-  ntt_inplace(off, false, m);
-  EXPECT_EQ(on, off);
+TEST(PolyMulDispatch, MatchesSchoolbookOnEveryKernelTable) {
+  // poly_mul is the one product dispatcher: Karatsuba/schoolbook below
+  // kNttThreshold output words, the NTT at and above it — tabled while
+  // the table covers the transform, the REDC chain past it. Every
+  // branch must return the schoolbook words, with or without tables,
+  // on the scalar context and on every kernel table this CPU can run.
+  std::mt19937_64 rng(0x9D15);
+  const std::size_t t = poly_detail::kNttThreshold;
+  for (u64 q : {find_ntt_prime(1u << 12, 14),
+                find_ntt_prime(u64{1} << 40, 20)}) {
+    const MontgomeryField m{PrimeField(q)};
+    // Covers the t and t + 1 transforms, not the largest product's.
+    const NttTables tables(m, 2 * t);
+    std::vector<MontgomeryField> contexts = {m};
+    if (cpu_supports_avx2() && avx2_kernels(q) != nullptr) {
+      contexts.push_back(m.with_kernels(avx2_kernels(q)));
+    }
+    if (cpu_supports_avx512() && avx512_kernels(q) != nullptr) {
+      contexts.push_back(m.with_kernels(avx512_kernels(q)));
+    }
+    for (std::size_t out : {t - 1, t, t + 1, 2 * t + 3}) {
+      Poly a, b;
+      for (std::size_t i = 0; i < out / 2; ++i) {
+        a.c.push_back(m.to_mont(rng() % q));
+      }
+      for (std::size_t i = 0; i + a.c.size() <= out; ++i) {
+        b.c.push_back(m.to_mont(rng() % q));
+      }
+      a.c.back() = b.c.back() = m.one();  // exact output length
+      ASSERT_EQ(a.c.size() + b.c.size() - 1, out);
+      const Poly want = poly_mul_schoolbook(a, b, m);
+      for (const MontgomeryField& fs : contexts) {
+        const std::string where =
+            std::string(fs.kernels() == nullptr ? "scalar"
+                                                : fs.kernels()->name) +
+            " q=" + std::to_string(q) + " out=" + std::to_string(out);
+        EXPECT_TRUE(poly_equal(poly_mul(a, b, fs), want)) << where;
+        EXPECT_TRUE(poly_equal(poly_mul(a, b, fs, &tables), want)) << where;
+      }
+    }
+  }
 }
 
 TEST(Ntt, LinearityProperty) {

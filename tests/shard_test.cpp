@@ -2,7 +2,8 @@
 // coordinator's assembled RunReport against a single-process
 // ProofSession on the same job (lossless, lossy, and mixed
 // loss+corruption), shard-death retry, the frame-size cap on both ends
-// of the wire, and the fleet observability rollup (merged scrape ==
+// of the wire, off-protocol workers (unknown tags, lying vector counts)
+// killed and retried, and the fleet observability rollup (merged scrape ==
 // element-wise sum of the per-process scrapes; deterministic counts
 // match the single-process run).
 //
@@ -17,6 +18,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -273,28 +276,26 @@ TEST(ShardCoordinatorTest, SurvivesWorkerCrashAndRetries) {
   EXPECT_GT(fleet.retried_primes(), 0u);
 }
 
-TEST(ShardCoordinatorTest, OverCapFrameMarksShardDeadAndRetries) {
-  REQUIRE_SHARDD();
-  // The shard handed the fault-injection argument runs a stand-in that
-  // answers with a header claiming 0xFFFFFFFF payload bytes; the other
-  // shards run the real worker. The coordinator must drop the liar and
-  // retry its primes on the survivors instead of waiting for 4 GiB.
+// Runs base_job() on a three-shard fleet whose shard 0 (the one handed
+// the fault-injection argument) runs the /bin/sh command `liar`; the
+// other shards exec the real worker. The coordinator must kill the
+// liar and retry its primes on the survivors: the assembled report
+// equals `single`, one shard is gone, and some primes were retried.
+void expect_liar_dropped(const std::string& liar, const RunReport& single) {
   const char* env = std::getenv("CAMELOT_SHARDD");
   char real[PATH_MAX];
   ASSERT_NE(::realpath(env && *env ? env : "./shardd", real), nullptr);
-  char script[] = "/tmp/camelot_overcap_XXXXXX";
+  char script[] = "/tmp/camelot_liar_XXXXXX";
   const int fd = ::mkstemp(script);
   ASSERT_GE(fd, 0);
   std::string body = "#!/bin/sh\ncase \"$1\" in --crash-after-primes=*)\n";
-  body += "  printf '\\377\\377\\377\\377'; exec cat >/dev/null;;\nesac\n";
+  body += "  " + liar + ";;\nesac\n";
   body += "exec '" + std::string(real) + "' \"$@\"\n";
   ASSERT_EQ(::write(fd, body.data(), body.size()),
             static_cast<ssize_t>(body.size()));
   ::close(fd);
   ASSERT_EQ(::chmod(script, 0755), 0);
 
-  const ShardJob job = base_job();
-  const RunReport single = run_single_process(job);
   ShardOptions options;
   options.num_shards = 3;
   options.shardd_path = script;
@@ -302,12 +303,74 @@ TEST(ShardCoordinatorTest, OverCapFrameMarksShardDeadAndRetries) {
   options.crash_after_primes = 1;
   {
     ShardCoordinator fleet(options);
-    const RunReport sharded = fleet.run(job);
+    const RunReport sharded = fleet.run(base_job());
     expect_reports_equal(sharded, single);
     EXPECT_EQ(fleet.live_shards(), 2u);
     EXPECT_GT(fleet.retried_primes(), 0u);
   }
   ::unlink(script);
+}
+
+// printf(1) octal escapes for a length-prefixed frame carrying
+// `payload`, as the shell stand-ins write it.
+std::string frame_printf(const std::string& payload) {
+  std::string framed;
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  for (int i = 0; i < 4; ++i) framed.push_back(char((len >> (8 * i)) & 0xff));
+  framed += payload;
+  std::string out = "printf '";
+  for (unsigned char c : framed) {
+    char esc[8];
+    std::snprintf(esc, sizeof(esc), "\\%03o", c);
+    out += esc;
+  }
+  return out + "'";
+}
+
+TEST(ShardCoordinatorTest, OverCapFrameMarksShardDeadAndRetries) {
+  REQUIRE_SHARDD();
+  // A header claiming 0xFFFFFFFF payload bytes: the coordinator drops
+  // the liar instead of waiting for 4 GiB.
+  expect_liar_dropped("printf '\\377\\377\\377\\377'; exec cat >/dev/null",
+                      run_single_process(base_job()));
+}
+
+TEST(ShardCoordinatorTest, UnknownFrameTagKillsShardAndRetries) {
+  REQUIRE_SHARDD();
+  // A well-formed one-byte frame with an unknown tag, then a worker
+  // that stays alive without reading or answering. The coordinator
+  // must kill it rather than wait; the sleep is bounded so a
+  // coordinator that waits fails instead of hanging.
+  expect_liar_dropped(frame_printf(std::string(1, '\x7f')) + "; exec sleep 20",
+                      run_single_process(base_job()));
+}
+
+TEST(ShardCoordinatorTest, LyingVectorCountAllocatesNothing) {
+  REQUIRE_SHARDD();
+  // Prime reports whose counts claim far more entries than their
+  // bodies carry, each body ending right after the count: 2^26 u64 in
+  // the first vector (512 MiB), then 2^22 node-stats deltas (96 MiB)
+  // after three empty vectors. The reader must see the short body
+  // before allocating, then drop the shard. Peak RSS only rises, so a
+  // case that allocates shows up even after the other one did not.
+  std::string head(1, char(ShardFrame::kPrimeReport));
+  head += std::string(8 + 8 + 1 + 1, '\0');  // index, prime, status
+  const std::string first_vector = head + std::string("\0\0\0\x04", 4);
+  const std::string deltas = head + std::string(4 + 4, '\0') +  // vectors
+                             std::string(4 * 8, '\0') +  // step counters
+                             std::string(4, '\0') +      // residues
+                             std::string("\0\0\x40\0", 4);  // deltas
+  const RunReport single = run_single_process(base_job());
+  for (const std::string& report : {first_vector, deltas}) {
+    rusage before{};
+    ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+    expect_liar_dropped(frame_printf(report) + "; exec sleep 20", single);
+    rusage after{};
+    ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+    EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)  // KiB
+        << "peak RSS grew by " << (after.ru_maxrss - before.ru_maxrss)
+        << " KiB (payload " << report.size() << " bytes)";
+  }
 }
 
 TEST(ShardCoordinatorTest, WorkersInheritNoSiblingPipes) {
