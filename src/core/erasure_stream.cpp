@@ -119,4 +119,19 @@ std::unique_ptr<SymbolStream> ErasureStreamingChannel::open(
   return std::make_unique<ErasureStream>(inner.open(spec), spec, loss_);
 }
 
+ChannelStack make_channel_stack(
+    std::shared_ptr<const ByzantineAdversary> adversary, LossSpec loss) {
+  ChannelStack st;
+  st.adversary = std::move(adversary);
+  if (st.adversary) {
+    st.base = std::make_unique<AdversarialStreamingChannel>(*st.adversary);
+  } else {
+    st.base = std::make_unique<LosslessStreamingChannel>();
+  }
+  if (loss.symbol_loss_rate > 0.0) {
+    st.erasure = std::make_unique<ErasureStreamingChannel>(loss, st.base.get());
+  }
+  return st;
+}
+
 }  // namespace camelot

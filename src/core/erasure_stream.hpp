@@ -72,4 +72,21 @@ class ErasureStreamingChannel final : public StreamingSymbolChannel {
   const StreamingSymbolChannel* inner_;
 };
 
+// One job's transport, owning every layer: the adversary's channel
+// (lossless when null) under an ErasureStreamingChannel when
+// loss.symbol_loss_rate > 0. The one builder the service, shard
+// workers and single-process references share.
+struct ChannelStack {
+  std::shared_ptr<const ByzantineAdversary> adversary;
+  std::unique_ptr<StreamingSymbolChannel> base;
+  std::unique_ptr<StreamingSymbolChannel> erasure;
+
+  const StreamingSymbolChannel& top() const {
+    return erasure ? *erasure : *base;
+  }
+};
+
+ChannelStack make_channel_stack(
+    std::shared_ptr<const ByzantineAdversary> adversary, LossSpec loss);
+
 }  // namespace camelot

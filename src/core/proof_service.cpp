@@ -18,11 +18,7 @@ namespace camelot {
 // its last queued task is gone even after it settled.
 struct ProofService::Job {
   std::shared_ptr<const CamelotProblem> problem;
-  std::shared_ptr<const ByzantineAdversary> adversary;
-  // When the submit asked for loss, `channel` is the erasure wrapper
-  // and `base_channel` the lossless/adversarial stack under it.
-  std::unique_ptr<StreamingSymbolChannel> base_channel;
-  std::unique_ptr<StreamingSymbolChannel> channel;
+  ChannelStack channel;
   std::unique_ptr<ProofSession> session;
   std::promise<RunReport> promise;
   std::atomic<std::size_t> primes_left{0};
@@ -206,7 +202,8 @@ void ProofService::run_task(const Task& task) {
              (jp->has_deadline &&
               std::chrono::steady_clock::now() > jp->deadline);
     };
-    job.session->run_prime_streaming(task.prime_index, *job.channel, cancel);
+    job.session->run_prime_streaming(task.prime_index, job.channel.top(),
+                                     cancel);
   } catch (const SessionCancelled&) {
     settle_expired(/*queued=*/false);
     return;
@@ -303,21 +300,10 @@ std::future<RunReport> ProofService::submit(
 
   auto job = std::make_shared<Job>();
   job->problem = std::move(problem);
-  job->adversary = std::move(adversary);
-  if (job->adversary != nullptr) {
-    job->channel =
-        std::make_unique<AdversarialStreamingChannel>(*job->adversary);
-  } else {
-    job->channel = std::make_unique<LosslessStreamingChannel>();
-  }
-  if (options.loss_rate > 0.0) {
-    // Erasure transport on top of the corruption stack: the job's
-    // primes will exercise selective repair under the scheduler.
-    job->base_channel = std::move(job->channel);
-    job->channel = std::make_unique<ErasureStreamingChannel>(
-        LossSpec{options.loss_rate, options.loss_seed},
-        job->base_channel.get());
-  }
+  // Erasure transport (when asked) on top of the corruption stack: the
+  // job's primes then exercise selective repair under the scheduler.
+  job->channel = make_channel_stack(
+      std::move(adversary), LossSpec{options.loss_rate, options.loss_seed});
   job->session = std::make_unique<ProofSession>(
       *job->problem, config, cache_, std::move(plan), codes_, metrics_);
   const std::size_t num_primes = job->session->num_primes();
@@ -334,8 +320,7 @@ std::future<RunReport> ProofService::submit(
   // histogram never locks); the admission decision below uses it
   // together with the queue pressure read under mu_.
   obs::Histogram::Snapshot latency_profile;
-  const bool may_shed = config_.latency_shedding && job->has_deadline;
-  if (may_shed) latency_profile = job_latency_->snapshot();
+  if (job->has_deadline) latency_profile = job_latency_->snapshot();
 
   bool rejected = false;
   bool shed = false;
@@ -353,7 +338,7 @@ std::future<RunReport> ProofService::submit(
                                pending_jobs_ >= config_.max_pending_jobs;
     if (priority_full || globally_full) {
       rejected = true;
-    } else if (may_shed &&
+    } else if (job->has_deadline &&
                latency_profile.count() >= config_.shed_min_samples) {
       // Predicted completion: the calibrated p95 inflated by how many
       // jobs already share the pool. A job that cannot make its

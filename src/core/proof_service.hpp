@@ -91,12 +91,11 @@ struct ProofServiceConfig {
   // entry fall back to max_pending_jobs alone; the global bound (when
   // nonzero) still caps the total across all priorities.
   std::map<int, std::size_t> max_pending_by_priority;
-  // Latency-aware shedding: when a submit carries a deadline and the
-  // job-latency histogram holds at least shed_min_samples completions,
-  // reject at submit if p95 * (1 + pending/workers) already exceeds
-  // the deadline. Calibration-gated so a fresh service (no history)
-  // never sheds.
-  bool latency_shedding = true;
+  // Latency-aware shedding, always on: when a submit carries a
+  // deadline and the job-latency histogram holds at least
+  // shed_min_samples completions, reject at submit if
+  // p95 * (1 + pending/workers) already exceeds the deadline.
+  // Calibration-gated so a fresh service (no history) never sheds.
   std::size_t shed_min_samples = 8;
   // Worker autoscaling. 0 = fixed pool of num_workers (the default);
   // otherwise the pool starts at min_workers (or num_workers, clamped

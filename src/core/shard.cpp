@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "apps/ov.hpp"
@@ -67,9 +68,10 @@ void put_vec_u64(std::string& out, const std::vector<T>& v) {
   for (T x : v) put_u64(out, static_cast<std::uint64_t>(x));
 }
 
-// A payload that breaks the wire protocol: truncated, an unknown tag,
-// or a field out of range. The coordinator treats the sender as dead
-// (its primes retry on the survivors) instead of failing the job.
+// A payload that breaks the wire protocol: truncated, over the size
+// cap, an unknown tag, or a field out of range. The coordinator drops
+// the sender (kill, reap, retry its primes on the survivors) instead
+// of failing the job.
 struct WireError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -127,19 +129,12 @@ class WireReader {
     return n;
   }
 
-  std::vector<u64> vec_u64() {
+  // A u32-count-prefixed u64 vector, as put_vec_u64 writes it.
+  template <typename T>
+  std::vector<T> vec() {
     const std::uint32_t n = count(8);
-    std::vector<u64> out(n);
-    for (std::uint32_t i = 0; i < n; ++i) out[i] = u64v();
-    return out;
-  }
-
-  std::vector<std::size_t> vec_size() {
-    const std::uint32_t n = count(8);
-    std::vector<std::size_t> out(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      out[i] = static_cast<std::size_t>(u64v());
-    }
+    std::vector<T> out(n);
+    for (std::uint32_t i = 0; i < n; ++i) out[i] = static_cast<T>(u64v());
     return out;
   }
 
@@ -206,10 +201,10 @@ SubmitFrame decode_submit(WireReader& r) {
   f.job.loss_rate = r.f64();
   f.job.loss_seed = r.u64v();
   f.job.adversary = r.u8() != 0;
-  f.job.corrupt_nodes = r.vec_size();
+  f.job.corrupt_nodes = r.vec<std::size_t>();
   f.job.strategy = static_cast<ByzantineStrategy>(r.u8());
   f.job.adversary_seed = r.u64v();
-  f.prime_indices = r.vec_size();
+  f.prime_indices = r.vec<std::size_t>();
   return f;
 }
 
@@ -254,13 +249,13 @@ PrimeReportFrame decode_prime_report(WireReader& r) {
   f.report.prime = r.u64v();
   f.report.decode_status = static_cast<DecodeStatus>(r.u8());
   f.report.verified = r.u8() != 0;
-  f.report.corrected_symbols = r.vec_size();
-  f.report.implicated_nodes = r.vec_size();
+  f.report.corrected_symbols = r.vec<std::size_t>();
+  f.report.implicated_nodes = r.vec<std::size_t>();
   f.report.decode_quotient_steps = static_cast<std::size_t>(r.u64v());
   f.report.decode_hgcd_calls = static_cast<std::size_t>(r.u64v());
   f.report.repair_rounds = static_cast<std::size_t>(r.u64v());
   f.report.repaired_symbols = static_cast<std::size_t>(r.u64v());
-  f.report.answer_residues = r.vec_u64();
+  f.report.answer_residues = r.vec<u64>();
   const std::uint32_t n = r.count(8 + 8 + 8);  // node_id, symbols, seconds
   f.delta.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -303,6 +298,20 @@ bool write_all(int fd, const char* data, std::size_t n) {
 // 4-byte header from committing gigabytes.
 constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
+// The payload length a frame header announces, checked against the
+// cap. Both readers — the worker's and the coordinator's — decode
+// headers here.
+std::uint32_t frame_length(const char* hdr) {
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) {
+    len |= std::uint32_t(static_cast<unsigned char>(hdr[i])) << (8 * i);
+  }
+  if (len > kMaxFrameBytes) {
+    throw WireError("shard wire: frame exceeds the size cap");
+  }
+  return len;
+}
+
 bool write_frame(int fd, const std::string& payload) {
   std::string framed;
   framed.reserve(4 + payload.size());
@@ -311,69 +320,52 @@ bool write_frame(int fd, const std::string& payload) {
   return write_all(fd, framed.data(), framed.size());
 }
 
+// Blocking read of exactly n bytes. Returns false on EOF before the
+// first byte, throws on EOF after it or on a read error.
+bool read_exact(int fd, char* out, std::size_t n) {
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::read(fd, out + got, n - got);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) throw WireError("shard wire: read failed");
+    if (r == 0) {
+      if (got == 0) return false;
+      throw WireError("shard wire: EOF inside frame");
+    }
+    got += static_cast<std::size_t>(r);
+  }
+  return true;
+}
+
 // Blocking whole-frame read (worker side; the worker is sequential).
 // Returns nullopt on EOF at a frame boundary, throws mid-frame and on
 // a header over the frame-size cap.
 std::optional<std::string> read_frame(int fd) {
-  unsigned char hdr[4];
-  std::size_t got = 0;
-  while (got < 4) {
-    const ssize_t r = ::read(fd, hdr + got, 4 - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("shard wire: read failed");
-    }
-    if (r == 0) {
-      if (got == 0) return std::nullopt;
-      throw std::runtime_error("shard wire: EOF inside frame header");
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= std::uint32_t(hdr[i]) << (8 * i);
-  if (len > kMaxFrameBytes) {
-    throw std::runtime_error("shard wire: frame exceeds the size cap");
-  }
-  std::string payload(len, '\0');
-  got = 0;
-  while (got < len) {
-    const ssize_t r = ::read(fd, payload.data() + got, len - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("shard wire: read failed");
-    }
-    if (r == 0) throw std::runtime_error("shard wire: EOF inside frame");
-    got += static_cast<std::size_t>(r);
+  char hdr[4];
+  if (!read_exact(fd, hdr, 4)) return std::nullopt;
+  std::string payload(frame_length(hdr), '\0');
+  if (!payload.empty() && !read_exact(fd, payload.data(), payload.size())) {
+    throw WireError("shard wire: EOF inside frame");
   }
   return payload;
 }
 
-// The channel stack a job describes: owning wrapper so worker and
-// golden tests build byte-identical transports from one ShardJob.
-struct ChannelStack {
-  std::unique_ptr<ByzantineAdversary> adversary;
-  std::unique_ptr<StreamingSymbolChannel> base;
-  std::unique_ptr<StreamingSymbolChannel> erasure;
-
-  const StreamingSymbolChannel& top() const {
-    return erasure ? *erasure : *base;
+// Extracts one complete frame payload from a non-blocking reader's
+// buffer (consumed prefix rpos) if present; throws WireError on a
+// header over the frame-size cap.
+std::optional<std::string> take_frame(std::string& rbuf, std::size_t& rpos) {
+  if (rbuf.size() < rpos + 4) return std::nullopt;
+  const std::uint32_t len = frame_length(rbuf.data() + rpos);
+  if (rbuf.size() < rpos + 4 + len) return std::nullopt;
+  std::string payload = rbuf.substr(rpos + 4, len);
+  rpos += 4 + std::size_t(len);
+  // Compact once the consumed prefix passes half the buffer, so
+  // draining n buffered bytes costs O(n), not one erase per frame.
+  if (rpos > rbuf.size() / 2) {
+    rbuf.erase(0, rpos);
+    rpos = 0;
   }
-};
-
-ChannelStack build_channel(const ShardJob& job) {
-  ChannelStack st;
-  if (job.adversary) {
-    st.adversary = std::make_unique<ByzantineAdversary>(
-        job.corrupt_nodes, job.strategy, job.adversary_seed);
-    st.base = std::make_unique<AdversarialStreamingChannel>(*st.adversary);
-  } else {
-    st.base = std::make_unique<LosslessStreamingChannel>();
-  }
-  if (job.loss_rate > 0.0) {
-    st.erasure = std::make_unique<ErasureStreamingChannel>(
-        LossSpec{job.loss_rate, job.loss_seed}, st.base.get());
-  }
-  return st;
+  return payload;
 }
 
 void ignore_sigpipe_once() {
@@ -476,7 +468,13 @@ int run_shard_worker(int in_fd, int out_fd, std::size_t crash_after_primes) {
               make_problem_from_spec(submit.job.problem_spec);
           ProofSession session(*problem, submit.job.config, nullptr, nullptr,
                                nullptr, registry);
-          ChannelStack channel = build_channel(submit.job);
+          const ShardJob& job = submit.job;
+          const ChannelStack channel = make_channel_stack(
+              job.adversary ? std::make_shared<ByzantineAdversary>(
+                                  job.corrupt_nodes, job.strategy,
+                                  job.adversary_seed)
+                            : nullptr,
+              LossSpec{job.loss_rate, job.loss_seed});
           // Node-stats deltas come from successive report() snapshots;
           // primes run sequentially here, so the difference is exactly
           // the work the prime just settled added.
@@ -551,16 +549,13 @@ ShardCoordinator::ShardCoordinator(ShardOptions options)
 }
 
 ShardCoordinator::~ShardCoordinator() {
+  // kShutdown, then the kill+reap a drop uses: teardown never waits on
+  // a worker that ignores kShutdown, and still reaps every worker (so
+  // RUSAGE_CHILDREN holds the fleet's CPU once this returns). Not
+  // counted as deaths.
   for (Shard& s : shards_) {
-    if (s.alive) {
-      (void)write_frame(s.to_fd, tagged(ShardFrame::kShutdown));
-    }
-    if (s.to_fd >= 0) ::close(s.to_fd);
-    if (s.from_fd >= 0) ::close(s.from_fd);
-    if (s.pid > 0) {
-      int status = 0;
-      (void)::waitpid(s.pid, &status, 0);
-    }
+    if (s.alive) (void)write_frame(s.to_fd, tagged(ShardFrame::kShutdown));
+    reap(s);
   }
 }
 
@@ -596,12 +591,12 @@ void ShardCoordinator::spawn(std::size_t index) {
                            nullptr};
     ::execv(options_.shardd_path.c_str(), const_cast<char* const*>(argv));
     // exec failed: nothing sane to do in the forked child but vanish;
-    // the coordinator sees EOF and reports the death.
+    // the coordinator sees EOF and drops the shard.
     ::_exit(127);
   }
   ::close(to_pipe[0]);
   ::close(from_pipe[1]);
-  // Non-blocking reads so the poll loop can drain whatever is there.
+  // Non-blocking reads so the frame loop can drain whatever is there.
   const int flags = ::fcntl(from_pipe[0], F_GETFL, 0);
   ::fcntl(from_pipe[0], F_SETFL, flags | O_NONBLOCK);
   Shard& s = shards_[index];
@@ -613,14 +608,18 @@ void ShardCoordinator::spawn(std::size_t index) {
                     static_cast<int>(pid));
 }
 
-void ShardCoordinator::send_frame(Shard& s, const std::string& payload) {
-  if (!s.alive) return;
+bool ShardCoordinator::send(std::size_t index, const std::string& payload) {
+  Shard& s = shards_[index];
+  if (!s.alive) return false;
   if (!write_frame(s.to_fd, payload)) {
-    mark_dead(s);
-    return;
+    CAMELOT_TRACE_MSG(obs::kTraceSched, "shard %zu: write failed", index);
+    drop(index);
+    return false;
   }
-  s.bytes_sent += 4 + payload.size();
-  update_bandwidth(s);
+  s.heard = std::chrono::steady_clock::now();
+  s.bytes += 4 + payload.size();
+  s.bandwidth->set(static_cast<std::int64_t>(s.bytes));
+  return true;
 }
 
 bool ShardCoordinator::pump(Shard& s) {
@@ -629,73 +628,138 @@ bool ShardCoordinator::pump(Shard& s) {
     const ssize_t r = ::read(s.from_fd, buf, sizeof(buf));
     if (r > 0) {
       s.rbuf.append(buf, static_cast<std::size_t>(r));
-      s.bytes_received += static_cast<std::size_t>(r);
+      s.bytes += static_cast<std::size_t>(r);
+      s.heard = std::chrono::steady_clock::now();
       continue;
     }
-    if (r == 0) {
-      update_bandwidth(s);
-      return false;  // EOF — worker is gone once rbuf drains
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      update_bandwidth(s);
-      return true;
-    }
-    update_bandwidth(s);
-    return false;
+    if (r < 0 && errno == EINTR) continue;
+    // EAGAIN: drained for now. EOF or an error: the worker is gone
+    // once rbuf drains.
+    const bool open = r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    s.bandwidth->set(static_cast<std::int64_t>(s.bytes));
+    return open;
   }
 }
 
-std::optional<std::string> ShardCoordinator::take_frame(Shard& s) {
-  if (s.rbuf.size() < s.rpos + 4) return std::nullopt;
-  std::uint32_t len = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    len |= std::uint32_t(static_cast<unsigned char>(s.rbuf[s.rpos + i]))
-           << (8 * i);
+template <typename OnFrame>
+void ShardCoordinator::serve(OnFrame& on_frame) {
+  using Clock = std::chrono::steady_clock;
+  auto owes = [](const Shard& s) {
+    return s.alive && (!s.pending.empty() || s.scrape_owed);
+  };
+  while (true) {
+    std::vector<pollfd> fds;
+    std::vector<std::size_t> fd_shard;
+    Clock::time_point deadline = Clock::time_point::max();
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (!shards_[i].alive) continue;
+      fds.push_back({shards_[i].from_fd, POLLIN, 0});
+      fd_shard.push_back(i);
+      if (owes(shards_[i])) {
+        deadline = std::min(deadline, shards_[i].heard + kSilenceLimit);
+      }
+    }
+    if (deadline == Clock::time_point::max()) return;  // nothing owed
+    const long long wait_ms = std::max<long long>(
+        0, std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+               .count());
+    const int rc = ::poll(fds.data(), fds.size(), static_cast<int>(wait_ms));
+    if (rc < 0 && errno != EINTR) {
+      throw std::runtime_error("ShardCoordinator: poll() failed");
+    }
+    const Clock::time_point now = Clock::now();
+    for (std::size_t k = 0; k < fds.size(); ++k) {
+      const std::size_t i = fd_shard[k];
+      // A shard may have been dropped by an earlier one's re-dispatch.
+      if (!shards_[i].alive) continue;
+      if (rc > 0 && fds[k].revents != 0) {
+        Shard& s = shards_[i];
+        const bool open = pump(s);
+        try {
+          while (std::optional<std::string> payload =
+                     take_frame(s.rbuf, s.rpos)) {
+            WireReader r(*payload);
+            const auto tag = static_cast<ShardFrame>(r.u8());
+            // kError: the worker gave up on its own; the same fault.
+            if (tag == ShardFrame::kError) {
+              throw WireError("shard error: " + r.str());
+            }
+            // kSubmitDone is informational: pending tracks the primes.
+            if (tag != ShardFrame::kSubmitDone) on_frame(i, tag, r);
+          }
+        } catch (const WireError& e) {
+          CAMELOT_TRACE_MSG(obs::kTraceSched, "shard %zu: %s", i, e.what());
+          drop(i);
+          continue;
+        }
+        if (!open) drop(i);
+      } else if (owes(shards_[i]) &&
+                 now >= shards_[i].heard + kSilenceLimit) {
+        CAMELOT_TRACE_MSG(obs::kTraceSched, "shard %zu: silent", i);
+        drop(i);
+      }
+    }
   }
-  if (len > kMaxFrameBytes) {
-    CAMELOT_TRACE_MSG(obs::kTraceSched, "shard wire: over-cap frame (%u)",
-                      static_cast<unsigned>(len));
-    mark_dead(s);
-    return std::nullopt;
-  }
-  if (s.rbuf.size() < s.rpos + 4 + len) return std::nullopt;
-  std::string payload = s.rbuf.substr(s.rpos + 4, len);
-  s.rpos += 4 + std::size_t(len);
-  // Compact once the consumed prefix passes half the buffer, so
-  // draining n buffered bytes costs O(n), not one erase per frame.
-  if (s.rpos > s.rbuf.size() / 2) {
-    s.rbuf.erase(0, s.rpos);
-    s.rpos = 0;
-  }
-  return payload;
 }
 
-void ShardCoordinator::mark_dead(Shard& s) {
+void ShardCoordinator::spread(const std::vector<std::size_t>& primes) {
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i].alive) live.push_back(i);
+  }
+  if (live.empty()) {
+    throw std::runtime_error(
+        "ShardCoordinator: every shard died with primes outstanding");
+  }
+  std::vector<std::vector<std::size_t>> share(shards_.size());
+  for (std::size_t j = 0; j < primes.size(); ++j) {
+    share[live[j % live.size()]].push_back(primes[j]);
+  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (share[i].empty()) continue;
+    Shard& s = shards_[i];
+    if (!s.alive) {  // dropped by an earlier submit's failed write
+      spread(share[i]);
+      continue;
+    }
+    // Pending first: a failed write drops the shard, which re-deals
+    // exactly these primes.
+    s.pending.insert(s.pending.end(), share[i].begin(), share[i].end());
+    send(i, encode_submit(*job_, share[i]));
+  }
+}
+
+void ShardCoordinator::drop(std::size_t index) {
+  Shard& s = shards_[index];
   if (!s.alive) return;
-  s.alive = false;
+  reap(s);
   deaths_counter_->inc();
-  if (s.to_fd >= 0) {
-    ::close(s.to_fd);
-    s.to_fd = -1;
+  const std::vector<std::size_t> orphans(s.pending.begin(), s.pending.end());
+  s.pending.clear();
+  CAMELOT_TRACE_MSG(obs::kTraceSched, "shard %zu dropped, %zu primes pending",
+                    index, orphans.size());
+  if (orphans.empty()) return;
+  retried_primes_ += orphans.size();
+  retries_counter_->inc(orphans.size());
+  spread(orphans);
+}
+
+void ShardCoordinator::reap(Shard& s) {
+  s.alive = false;
+  for (int* fd : {&s.to_fd, &s.from_fd}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
-  // Killed before it is reaped: a worker that is alive but
-  // off-protocol (a bad frame, a missed scrape deadline) may never
-  // exit on its own. An already-exited worker is a zombie until
-  // reaped, so the pid cannot have been reused.
+  // Killed before it is reaped: a worker that is alive but off
+  // protocol may never exit on its own. An already-exited worker is a
+  // zombie until reaped, so the pid cannot have been reused.
   if (s.pid > 0) {
     ::kill(s.pid, SIGKILL);
     int status = 0;
-    (void)::waitpid(s.pid, &status, 0);
+    while (::waitpid(s.pid, &status, 0) < 0 && errno == EINTR) {
+    }
     s.pid = -1;
   }
-  CAMELOT_TRACE_MSG(obs::kTraceSched, "shard died, %zu primes pending",
-                    s.pending.size());
-}
-
-void ShardCoordinator::update_bandwidth(Shard& s) {
-  s.bandwidth->set(
-      static_cast<std::int64_t>(s.bytes_sent + s.bytes_received));
 }
 
 RunReport ShardCoordinator::run(const ShardJob& job) {
@@ -717,35 +781,20 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
   }
   double worker_seconds = 0.0;
 
-  // Round-robin partition over the shards alive right now.
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].alive) live.push_back(i);
-  }
-  if (live.empty()) {
-    throw std::runtime_error("ShardCoordinator: no live shards");
-  }
-  std::vector<std::vector<std::size_t>> assignment(shards_.size());
-  for (std::size_t pi = 0; pi < num_primes; ++pi) {
-    assignment[live[pi % live.size()]].push_back(pi);
-  }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (assignment[i].empty()) continue;
-    shards_[i].pending.assign(assignment[i].begin(), assignment[i].end());
-    send_frame(shards_[i], encode_submit(job, assignment[i]));
-  }
-
-  std::size_t settled = 0;
-  auto handle_report = [&](Shard& s, WireReader& r) {
-    PrimeReportFrame f = decode_prime_report(r);
-    if (f.prime_index >= num_primes) {
-      throw WireError("shard wire: prime index out of range");
+  auto on_frame = [&](std::size_t index, ShardFrame tag, WireReader& r) {
+    if (tag != ShardFrame::kPrimeReport) {
+      throw WireError("shard wire: unexpected frame tag");
     }
-    auto it = std::find(s.pending.begin(), s.pending.end(), f.prime_index);
-    if (it != s.pending.end()) s.pending.erase(it);
-    if (reports[f.prime_index]) return;  // duplicate after a retry race
+    // Decoded in full before it touches any state, so dropping the
+    // shard on a broken frame loses nothing.
+    PrimeReportFrame f = decode_prime_report(r);
+    std::deque<std::size_t>& pending = shards_[index].pending;
+    auto it = std::find(pending.begin(), pending.end(), f.prime_index);
+    if (it == pending.end()) {
+      throw WireError("shard wire: report for a prime the shard does not hold");
+    }
+    pending.erase(it);
     reports[f.prime_index] = std::move(f.report);
-    ++settled;
     for (const NodeStats& d : f.delta) {
       if (d.node_id < node_stats.size()) {
         node_stats[d.node_id].symbols_computed += d.symbols_computed;
@@ -755,102 +804,20 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
     }
   };
 
-  auto redistribute = [&](Shard& dead) {
-    std::vector<std::size_t> orphans(dead.pending.begin(),
-                                     dead.pending.end());
-    dead.pending.clear();
-    // Reports may still sit in the pipe buffer of a freshly-dead
-    // worker; only truly unreported primes are re-dispatched, and the
-    // first report to arrive wins either way.
-    orphans.erase(std::remove_if(orphans.begin(), orphans.end(),
-                                 [&](std::size_t pi) {
-                                   return reports[pi].has_value();
-                                 }),
-                  orphans.end());
-    if (orphans.empty()) return;
-    std::vector<std::size_t> survivors;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i].alive) survivors.push_back(i);
-    }
-    if (survivors.empty()) {
-      throw std::runtime_error(
-          "ShardCoordinator: every shard died with primes outstanding");
-    }
-    std::vector<std::vector<std::size_t>> retry(shards_.size());
-    for (std::size_t j = 0; j < orphans.size(); ++j) {
-      retry[survivors[j % survivors.size()]].push_back(orphans[j]);
-    }
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (retry[i].empty()) continue;
-      for (std::size_t pi : retry[i]) shards_[i].pending.push_back(pi);
-      send_frame(shards_[i], encode_submit(job, retry[i]));
-      retried_primes_ += retry[i].size();
-      retries_counter_->inc(retry[i].size());
-      CAMELOT_TRACE_MSG(obs::kTraceSched,
-                        "retrying %zu primes on shard %zu", retry[i].size(),
-                        i);
-    }
-  };
-
-  while (settled < num_primes) {
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> fd_shard;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (!shards_[i].alive) continue;
-      fds.push_back({shards_[i].from_fd, POLLIN, 0});
-      fd_shard.push_back(i);
-    }
-    if (fds.empty()) {
-      throw std::runtime_error(
-          "ShardCoordinator: every shard died with primes outstanding");
-    }
-    const int rc = ::poll(fds.data(), fds.size(), /*ms=*/30000);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("ShardCoordinator: poll() failed");
-    }
-    if (rc == 0) {
-      throw std::runtime_error(
-          "ShardCoordinator: timed out waiting for shard frames");
-    }
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      Shard& s = shards_[fd_shard[k]];
-      const bool open = pump(s);
-      bool fatal = !open;
-      while (auto payload = take_frame(s)) {
-        // A frame that breaks the protocol is decoded in full before it
-        // touches any state, so dropping the shard here loses nothing.
-        try {
-          WireReader r(*payload);
-          const auto tag = static_cast<ShardFrame>(r.u8());
-          if (tag == ShardFrame::kPrimeReport) {
-            handle_report(s, r);
-          } else if (tag == ShardFrame::kSubmitDone) {
-            // Informational; pending should already be empty.
-          } else if (tag == ShardFrame::kError) {
-            CAMELOT_TRACE_MSG(obs::kTraceSched, "shard error: %s",
-                              r.str().c_str());
-            fatal = true;
-          } else if (tag == ShardFrame::kObsSnapshot) {
-            // Stale scrape response; ignore.
-            (void)r.str();
-          } else {
-            throw WireError("shard wire: unexpected frame tag");
-          }
-        } catch (const WireError& e) {
-          CAMELOT_TRACE_MSG(obs::kTraceSched, "%s", e.what());
-          fatal = true;
-          break;
-        }
-      }
-      // take_frame marks dead a shard that sent an over-cap header.
-      if (fatal || !s.alive) {
-        mark_dead(s);
-        redistribute(s);
-      }
-    }
+  std::vector<std::size_t> all(num_primes);
+  for (std::size_t pi = 0; pi < num_primes; ++pi) all[pi] = pi;
+  job_ = &job;
+  try {
+    spread(all);
+    // Returns once no live shard holds a prime: every prime is then
+    // settled, since a drop that leaves no survivor throws.
+    serve(on_frame);
+  } catch (...) {
+    job_ = nullptr;
+    for (Shard& s : shards_) s.pending.clear();
+    throw;
   }
+  job_ = nullptr;
 
   std::vector<PrimeRunReport> per_prime;
   per_prime.reserve(num_primes);
@@ -866,50 +833,37 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
 }
 
 obs::Registry::Snapshot ShardCoordinator::fleet_snapshot() {
-  obs::Registry::Snapshot fleet = metrics_->snapshot();
+  // Each scrape is first merged into `trial`, so one that does not
+  // parse or merge is its shard's fault and is never half-merged; the
+  // good ones are then folded in shard order.
+  obs::Registry::Snapshot trial = metrics_->snapshot();
+  std::vector<std::optional<obs::Registry::Snapshot>> parsed(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& s = shards_[i];
     last_scrapes_[i].clear();
-    if (!s.alive) continue;
-    send_frame(s, tagged(ShardFrame::kObsRequest));
-    if (!s.alive) continue;  // send_frame may have detected the death
-    // Wait for the kObsSnapshot answer, dispatching anything else the
-    // worker had queued (a worker is sequential, so the snapshot is
-    // the last frame it emits for this request).
-    bool got = false;
-    while (!got && s.alive) {
-      pollfd pfd{s.from_fd, POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, /*ms=*/10000);
-      if (rc <= 0) {
-        mark_dead(s);
-        break;
-      }
-      if (!pump(s)) {
-        while (auto payload = take_frame(s)) {
-          WireReader r(*payload);
-          if (static_cast<ShardFrame>(r.u8()) == ShardFrame::kObsSnapshot) {
-            last_scrapes_[i] = r.str();
-            got = true;
-          }
-        }
-        if (!got) mark_dead(s);
-        break;
-      }
-      while (auto payload = take_frame(s)) {
-        WireReader r(*payload);
-        const auto tag = static_cast<ShardFrame>(r.u8());
-        if (tag == ShardFrame::kObsSnapshot) {
-          last_scrapes_[i] = r.str();
-          got = true;
-          break;
-        }
-        // Out-of-band leftovers (late kSubmitDone) are uninteresting
-        // here.
-      }
+    shards_[i].scrape_owed = send(i, tagged(ShardFrame::kObsRequest));
+  }
+  auto on_frame = [&](std::size_t index, ShardFrame tag, WireReader& r) {
+    Shard& s = shards_[index];
+    if (tag != ShardFrame::kObsSnapshot || !s.scrape_owed) {
+      throw WireError("shard wire: unexpected frame tag");
     }
-    if (!last_scrapes_[i].empty()) {
-      obs::merge_snapshot(fleet, obs::parse_json_snapshot(last_scrapes_[i]));
+    std::string json = r.str();
+    try {
+      obs::Registry::Snapshot snap = obs::parse_json_snapshot(json);
+      obs::Registry::Snapshot next = trial;
+      obs::merge_snapshot(next, snap);
+      trial = std::move(next);
+      parsed[index] = std::move(snap);
+    } catch (const std::exception& e) {
+      throw WireError(std::string("shard scrape: ") + e.what());
     }
+    s.scrape_owed = false;
+    last_scrapes_[index] = std::move(json);
+  };
+  serve(on_frame);
+  obs::Registry::Snapshot fleet = metrics_->snapshot();
+  for (const std::optional<obs::Registry::Snapshot>& snap : parsed) {
+    if (snap) obs::merge_snapshot(fleet, *snap);
   }
   return fleet;
 }

@@ -9,10 +9,16 @@
 // the worker's stdin/stdout. A worker is sequential — it reads one
 // frame, handles it to completion, answers, and reads the next — so
 // the coordinator can queue a retry submit at a busy survivor and the
-// pipe buffers it until the survivor is free. Both readers reject a
-// header over a fixed frame-size cap before allocating: the worker
-// answers kError and exits 1, and the coordinator marks the shard
-// dead and retries its primes on the survivors.
+// pipe buffers it until the survivor is free.
+//
+// Faults follow one rule, the paper's "identification of failed
+// nodes": kill, reap, retry. The coordinator SIGKILLs and reaps the
+// worker, counts one death, and re-deals its unsettled primes over the
+// survivors. The faults: a failed write, EOF, kError, a broken frame
+// (over the 64 MiB cap, truncated, unknown tag, a prime the shard does
+// not hold), a scrape that does not parse or merge, and silence past
+// kSilenceLimit while a reply is owed. The worker's reader shares the
+// header decode and cap, answering kError and exiting 1.
 //
 // Determinism: a shard recomputes the PrimePlan from the job spec with
 // the same plan_primes call the coordinator (and a single-process
@@ -37,9 +43,9 @@
 
 #include <sys/types.h>
 
+#include <chrono>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,15 +133,18 @@ class ShardCoordinator {
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
+  // A shard that owes a reply and sends nothing for this long is
+  // dropped: long enough for one prime of any shipped workload.
+  static constexpr std::chrono::seconds kSilenceLimit{30};
+
   // Runs one job across the fleet: round-robin partition of the
-  // PrimePlan, dispatch, collect, redistribute a dead shard's
-  // unfinished primes over the survivors, then assemble the RunReport
-  // through assemble_report, as ProofSession::report() does (CRT
-  // across primes, node stats summed). A shard that crashes or breaks
-  // the wire protocol (over-cap header, truncated payload, unknown
-  // tag, prime index out of range) is killed and counts as dead.
-  // Throws std::runtime_error when every shard died before the job
-  // settled.
+  // PrimePlan over the live shards, collect, then assemble the
+  // RunReport through assemble_report, as ProofSession::report() does.
+  // Any shard fault — failed submit write, EOF, kError, a broken frame,
+  // a report for a prime it does not hold, silence past kSilenceLimit
+  // — kills and reaps that shard and retries its primes on the
+  // survivors. The one terminal error: std::runtime_error when every
+  // shard died with primes outstanding.
   RunReport run(const ShardJob& job);
 
   std::size_t num_shards() const noexcept { return shards_.size(); }
@@ -147,8 +156,10 @@ class ShardCoordinator {
 
   // Fleet scrape: the coordinator's own snapshot with every live
   // worker's scrape (requested over the wire, parsed from JSON)
-  // merged in. The merged histograms' bins are the element-wise sums
-  // of the per-process bins.
+  // merged in, in shard order. The merged histograms' bins are the
+  // element-wise sums of the per-process bins. A shard whose scrape
+  // faults (see run()), or does not parse or merge, is dropped and
+  // contributes nothing.
   obs::Registry::Snapshot fleet_snapshot();
   std::string fleet_prometheus();
   std::string fleet_json();
@@ -167,24 +178,33 @@ class ShardCoordinator {
     bool alive = false;
     std::string rbuf;      // partial-frame read buffer
     std::size_t rpos = 0;  // consumed prefix of rbuf
-    // Prime indices dispatched to this worker and not yet reported.
+    // Prime indices dispatched to this worker and not yet reported;
+    // across the live shards, exactly the unsettled primes.
     std::deque<std::size_t> pending;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_received = 0;
+    bool scrape_owed = false;
+    std::chrono::steady_clock::time_point heard{};  // silence clock
+    std::uint64_t bytes = 0;  // frame bytes, both directions
     obs::Gauge* bandwidth = nullptr;
   };
 
   void spawn(std::size_t index);
-  void send_frame(Shard& s, const std::string& payload);
-  // Drains readable bytes into s.rbuf; returns false on EOF/error.
+  // Writes one frame; a failed write drops the shard. False when the
+  // shard is dead.
+  bool send(std::size_t index, const std::string& payload);
+  // Drains readable bytes into s.rbuf; false on EOF/error.
   bool pump(Shard& s);
-  // Extracts one complete frame payload from s.rbuf if present; marks
-  // the shard dead on a header over the frame-size cap.
-  std::optional<std::string> take_frame(Shard& s);
-  // SIGKILLs and reaps the worker (an off-protocol worker may never
-  // exit on its own), closes its stdin; idempotent.
-  void mark_dead(Shard& s);
-  void update_bandwidth(Shard& s);
+  // The frame loop behind run() and fleet_snapshot(): until no live
+  // shard owes a reply, hands each frame to on_frame(index, tag,
+  // reader) and drops a shard on any fault, silence included.
+  template <typename OnFrame>
+  void serve(OnFrame& on_frame);
+  // Deals `primes` round-robin over the live shards, one submit each.
+  void spread(const std::vector<std::size_t>& primes);
+  // The one fault path: reap, count a death, re-deal the shard's
+  // pending primes over the survivors.
+  void drop(std::size_t index);
+  // Closes the pipes, SIGKILLs and reaps the worker.
+  void reap(Shard& s);
 
   ShardOptions options_;
   std::shared_ptr<obs::Registry> metrics_;
@@ -194,6 +214,7 @@ class ShardCoordinator {
   std::vector<Shard> shards_;
   std::vector<std::string> last_scrapes_;
   std::size_t retried_primes_ = 0;
+  const ShardJob* job_ = nullptr;  // the job run() is serving, if any
 };
 
 }  // namespace camelot

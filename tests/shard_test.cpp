@@ -2,10 +2,12 @@
 // coordinator's assembled RunReport against a single-process
 // ProofSession on the same job (lossless, lossy, and mixed
 // loss+corruption), shard-death retry, the frame-size cap on both ends
-// of the wire, off-protocol workers (unknown tags, lying vector counts)
-// killed and retried, and the fleet observability rollup (merged scrape ==
-// element-wise sum of the per-process scrapes; deterministic counts
-// match the single-process run).
+// of the wire, off-protocol, gone and silent workers (unknown tags,
+// lying vector counts, a failed submit write, no answer) killed and
+// retried, bounded teardown, and the fleet observability rollup
+// (merged scrape == element-wise sum of the per-process scrapes, a bad
+// scrape drops its shard; deterministic counts match the
+// single-process run).
 //
 // Requires the shardd binary; ctest points CAMELOT_SHARDD at the
 // build-tree target. Suites skip (not fail) when it is missing so the
@@ -18,15 +20,18 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "core/erasure_stream.hpp"
 #include "core/proof_session.hpp"
@@ -70,25 +75,15 @@ RunReport run_single_process(const ShardJob& job,
                              std::shared_ptr<obs::Registry> registry = nullptr) {
   std::unique_ptr<CamelotProblem> problem =
       make_problem_from_spec(job.problem_spec);
-  std::unique_ptr<ByzantineAdversary> adversary;
-  std::unique_ptr<StreamingSymbolChannel> base;
-  if (job.adversary) {
-    adversary = std::make_unique<ByzantineAdversary>(
-        job.corrupt_nodes, job.strategy, job.adversary_seed);
-    base = std::make_unique<AdversarialStreamingChannel>(*adversary);
-  } else {
-    base = std::make_unique<LosslessStreamingChannel>();
-  }
-  std::unique_ptr<StreamingSymbolChannel> top;
-  if (job.loss_rate > 0.0) {
-    top = std::make_unique<ErasureStreamingChannel>(
-        LossSpec{job.loss_rate, job.loss_seed}, base.get());
-  }
+  const ChannelStack channel = make_channel_stack(
+      job.adversary ? std::make_shared<ByzantineAdversary>(
+                          job.corrupt_nodes, job.strategy, job.adversary_seed)
+                    : nullptr,
+      LossSpec{job.loss_rate, job.loss_seed});
   ProofSession session(*problem, job.config, nullptr, nullptr, nullptr,
                        std::move(registry));
-  const StreamingSymbolChannel& channel = top ? *top : *base;
   for (std::size_t pi = 0; pi < session.num_primes(); ++pi) {
-    session.run_prime_streaming(pi, channel);
+    session.run_prime_streaming(pi, channel.top());
   }
   return session.report();
 }
@@ -276,39 +271,106 @@ TEST(ShardCoordinatorTest, SurvivesWorkerCrashAndRetries) {
   EXPECT_GT(fleet.retried_primes(), 0u);
 }
 
-// Runs base_job() on a three-shard fleet whose shard 0 (the one handed
-// the fault-injection argument) runs the /bin/sh command `liar`; the
-// other shards exec the real worker. The coordinator must kill the
-// liar and retry its primes on the survivors: the assembled report
-// equals `single`, one shard is gone, and some primes were retried.
-void expect_liar_dropped(const std::string& liar, const RunReport& single) {
-  const char* env = std::getenv("CAMELOT_SHARDD");
-  char real[PATH_MAX];
-  ASSERT_NE(::realpath(env && *env ? env : "./shardd", real), nullptr);
-  char script[] = "/tmp/camelot_liar_XXXXXX";
-  const int fd = ::mkstemp(script);
-  ASSERT_GE(fd, 0);
-  std::string body = "#!/bin/sh\ncase \"$1\" in --crash-after-primes=*)\n";
-  body += "  " + liar + ";;\nesac\n";
-  body += "exec '" + std::string(real) + "' \"$@\"\n";
-  ASSERT_EQ(::write(fd, body.data(), body.size()),
-            static_cast<ssize_t>(body.size()));
-  ::close(fd);
-  ASSERT_EQ(::chmod(script, 0755), 0);
+// A /bin/sh stand-in for shardd: the shard handed the fault-injection
+// argument runs the command `liar`, the others exec the real worker.
+// The script is removed when the stand-in goes out of scope.
+class StandIn {
+ public:
+  explicit StandIn(const std::string& liar) {
+    const char* env = std::getenv("CAMELOT_SHARDD");
+    char real[PATH_MAX];
+    if (::realpath(env && *env ? env : "./shardd", real) == nullptr) return;
+    char script[] = "/tmp/camelot_liar_XXXXXX";
+    const int fd = ::mkstemp(script);
+    if (fd < 0) return;
+    std::string body = "#!/bin/sh\ncase \"$1\" in --crash-after-primes=*)\n";
+    body += "  " + liar + ";;\nesac\n";
+    body += "exec '" + std::string(real) + "' \"$@\"\n";
+    const bool written =
+        ::write(fd, body.data(), body.size()) ==
+        static_cast<ssize_t>(body.size());
+    ::close(fd);
+    if (written && ::chmod(script, 0755) == 0) {
+      path_ = script;
+    } else {
+      ::unlink(script);
+    }
+  }
+  ~StandIn() {
+    if (!path_.empty()) ::unlink(path_.c_str());
+  }
+  StandIn(const StandIn&) = delete;
+  StandIn& operator=(const StandIn&) = delete;
 
-  ShardOptions options;
-  options.num_shards = 3;
-  options.shardd_path = script;
-  options.crash_shard = 0;
-  options.crash_after_primes = 1;
-  {
-    ShardCoordinator fleet(options);
+  // Empty when the script could not be written.
+  const std::string& path() const { return path_; }
+
+  // A three-shard fleet whose shard 0 runs the stand-in.
+  ShardOptions options() const {
+    ShardOptions options;
+    options.num_shards = 3;
+    options.shardd_path = path_;
+    options.crash_shard = 0;
+    options.crash_after_primes = 1;
+    return options;
+  }
+
+ private:
+  std::string path_;
+};
+
+using FleetAction = std::function<void(ShardCoordinator&)>;
+
+// Runs `action` (a job or a scrape) on a three-shard fleet whose shard
+// 0 runs the stand-in command `liar`. The coordinator must drop the
+// liar and keep going on the survivors: one shard is gone once the
+// action returns.
+void expect_liar_dropped(const std::string& liar, const FleetAction& action) {
+  StandIn stand_in(liar);
+  ASSERT_FALSE(stand_in.path().empty()) << "could not write the stand-in";
+  ShardCoordinator fleet(stand_in.options());
+  action(fleet);
+  EXPECT_EQ(fleet.live_shards(), 2u);
+}
+
+// The job action: base_job() on the fleet equals `single`, and the
+// liar's primes were retried on the survivors.
+FleetAction run_job(const RunReport& single) {
+  return [&single](ShardCoordinator& fleet) {
     const RunReport sharded = fleet.run(base_job());
     expect_reports_equal(sharded, single);
-    EXPECT_EQ(fleet.live_shards(), 2u);
     EXPECT_GT(fleet.retried_primes(), 0u);
+  };
+}
+
+// The scrape action: fleet_snapshot() is the coordinator's own snapshot
+// plus the two real shards' scrapes, metric by metric, bin by bin, and
+// nothing of the liar's.
+void scrape_fleet(ShardCoordinator& fleet) {
+  const obs::Registry::Snapshot merged = fleet.fleet_snapshot();
+  const std::vector<std::string>& scrapes = fleet.last_shard_scrapes();
+  ASSERT_EQ(scrapes.size(), 3u);
+  EXPECT_TRUE(scrapes[0].empty()) << scrapes[0];
+  obs::Registry::Snapshot expected = fleet.metrics().snapshot();
+  for (std::size_t i = 1; i < 3; ++i) {
+    ASSERT_FALSE(scrapes[i].empty()) << "shard " << i;
+    obs::merge_snapshot(expected, obs::parse_json_snapshot(scrapes[i]));
   }
-  ::unlink(script);
+  EXPECT_EQ(merged.counters, expected.counters);
+  EXPECT_EQ(merged.gauges, expected.gauges);
+  ASSERT_EQ(merged.histograms.size(), expected.histograms.size());
+  for (std::size_t i = 0; i < merged.histograms.size(); ++i) {
+    EXPECT_EQ(merged.histograms[i].first, expected.histograms[i].first);
+    EXPECT_EQ(merged.histograms[i].second.bins,
+              expected.histograms[i].second.bins)
+        << merged.histograms[i].first;
+  }
+  EXPECT_EQ(counter_value(merged, "camelot_shard_deaths_total"), 1u);
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 // printf(1) octal escapes for a length-prefixed frame carrying
@@ -331,8 +393,9 @@ TEST(ShardCoordinatorTest, OverCapFrameMarksShardDeadAndRetries) {
   REQUIRE_SHARDD();
   // A header claiming 0xFFFFFFFF payload bytes: the coordinator drops
   // the liar instead of waiting for 4 GiB.
+  const RunReport single = run_single_process(base_job());
   expect_liar_dropped("printf '\\377\\377\\377\\377'; exec cat >/dev/null",
-                      run_single_process(base_job()));
+                      run_job(single));
 }
 
 TEST(ShardCoordinatorTest, UnknownFrameTagKillsShardAndRetries) {
@@ -341,8 +404,9 @@ TEST(ShardCoordinatorTest, UnknownFrameTagKillsShardAndRetries) {
   // that stays alive without reading or answering. The coordinator
   // must kill it rather than wait; the sleep is bounded so a
   // coordinator that waits fails instead of hanging.
+  const RunReport single = run_single_process(base_job());
   expect_liar_dropped(frame_printf(std::string(1, '\x7f')) + "; exec sleep 20",
-                      run_single_process(base_job()));
+                      run_job(single));
 }
 
 TEST(ShardCoordinatorTest, LyingVectorCountAllocatesNothing) {
@@ -364,13 +428,66 @@ TEST(ShardCoordinatorTest, LyingVectorCountAllocatesNothing) {
   for (const std::string& report : {first_vector, deltas}) {
     rusage before{};
     ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
-    expect_liar_dropped(frame_printf(report) + "; exec sleep 20", single);
+    expect_liar_dropped(frame_printf(report) + "; exec sleep 20",
+                        run_job(single));
     rusage after{};
     ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
     EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)  // KiB
         << "peak RSS grew by " << (after.ru_maxrss - before.ru_maxrss)
         << " KiB (payload " << report.size() << " bytes)";
   }
+}
+
+TEST(ShardCoordinatorTest, WorkerDeadBeforeSubmitIsRetried) {
+  REQUIRE_SHARDD();
+  // The stand-in closes its stdin, leaves a marker and exits, all
+  // before run() starts: the first submit write fails, and the primes
+  // it carried must be re-dealt to the survivors.
+  const std::string marker =
+      ::testing::TempDir() + "camelot_gone_" + std::to_string(::getpid());
+  ::unlink(marker.c_str());
+  const RunReport single = run_single_process(base_job());
+  const auto t0 = std::chrono::steady_clock::now();
+  expect_liar_dropped(
+      "exec 0<&-; : > '" + marker + "'; exit 0",
+      [&](ShardCoordinator& fleet) {
+        for (int i = 0; i < 1000 && ::access(marker.c_str(), F_OK) != 0;
+             ++i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        ASSERT_EQ(::unlink(marker.c_str()), 0) << "no marker";
+        run_job(single)(fleet);
+      });
+  EXPECT_LT(seconds_since(t0), 10.0);
+}
+
+TEST(ShardCoordinatorTest, SilentWorkerIsDroppedAndRetried) {
+  REQUIRE_SHARDD();
+  // A worker that stays alive and never answers owes its primes until
+  // the silence deadline, then is dropped like a crashed one.
+  const RunReport single = run_single_process(base_job());
+  const auto t0 = std::chrono::steady_clock::now();
+  expect_liar_dropped("exec sleep 60", [&](ShardCoordinator& fleet) {
+    run_job(single)(fleet);
+    EXPECT_GE(seconds_since(t0),
+              std::chrono::duration<double>(ShardCoordinator::kSilenceLimit)
+                  .count());
+  });
+  EXPECT_LT(seconds_since(t0), 60.0);
+}
+
+TEST(ShardCoordinatorTest, DestructorDoesNotWaitOnDeafWorker) {
+  REQUIRE_SHARDD();
+  // A worker that ignores kShutdown (and stdin EOF) is killed, not
+  // waited for: teardown stays bounded.
+  StandIn stand_in("exec sleep 20");
+  ASSERT_FALSE(stand_in.path().empty()) << "could not write the stand-in";
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    ShardCoordinator fleet(stand_in.options());
+    EXPECT_EQ(fleet.live_shards(), 3u);
+  }
+  EXPECT_LT(seconds_since(t0), 5.0);
 }
 
 TEST(ShardCoordinatorTest, WorkersInheritNoSiblingPipes) {
@@ -514,6 +631,25 @@ TEST(ShardFleetObs, RollupEqualsSumOfShardScrapes) {
   // Workers settled every prime exactly once.
   EXPECT_EQ(counter_value(merged, "camelot_shard_primes_total"),
             sharded.num_primes);
+}
+
+TEST(ShardFleetObs, EmptyScrapeFrameDropsShard) {
+  REQUIRE_SHARDD();
+  // A zero-length frame (no tag byte) answers the scrape request.
+  const auto t0 = std::chrono::steady_clock::now();
+  expect_liar_dropped(frame_printf("") + "; exec sleep 20", scrape_fleet);
+  EXPECT_LT(seconds_since(t0), 10.0);
+}
+
+TEST(ShardFleetObs, MalformedScrapeJsonDropsShard) {
+  REQUIRE_SHARDD();
+  // A well-framed kObsSnapshot whose JSON body is `bad`.
+  std::string snapshot(1, char(ShardFrame::kObsSnapshot));
+  snapshot += std::string("\x03\0\0\0", 4) + "bad";
+  const auto t0 = std::chrono::steady_clock::now();
+  expect_liar_dropped(frame_printf(snapshot) + "; exec sleep 20",
+                      scrape_fleet);
+  EXPECT_LT(seconds_since(t0), 10.0);
 }
 
 TEST(ShardFleetObs, DeterministicCountsMatchSingleProcessScrape) {
