@@ -125,13 +125,9 @@ std::unique_ptr<Evaluator> Conv3SumProblem::make_evaluator(
   return std::make_unique<Conv3SumEvaluator>(f, values_, bits_);
 }
 
-std::vector<u64> Conv3SumProblem::recover(const Poly& proof,
-                                          const PrimeField& f) const {
-  const std::size_t n = values_.size();
-  std::vector<u64> out(n / 2);
-  for (std::size_t i = 1; i <= n / 2; ++i) {
-    out[i - 1] = poly_eval(proof, i, f);
-  }
+std::vector<u64> Conv3SumProblem::recover(const ProofValues& proof) const {
+  std::vector<u64> out(values_.size() / 2);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = proof.at(i + 1);
   return out;
 }
 

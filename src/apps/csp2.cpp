@@ -222,8 +222,11 @@ std::unique_ptr<Evaluator> Csp2Problem::make_evaluator(
                                          padded_);
 }
 
-std::vector<u64> Csp2Problem::recover(const Poly& proof,
-                                      const PrimeField& f) const {
+std::vector<u64> Csp2Problem::recover(const ProofValues& proof) const {
+  // The answers come from the block polynomials P_{w0}, which are
+  // slices of P's coefficients, not values of P.
+  const Poly& p = proof.coeffs();
+  const PrimeField& f = proof.field();
   const std::size_t m = inst_.constraints.size();
   const u64 d0 = 3 * (rank_ - 1);
   // Per weight point: X(w0) = sum_{r=1..R} P_{w0}(r).
@@ -231,7 +234,7 @@ std::vector<u64> Csp2Problem::recover(const Poly& proof,
   for (std::size_t w0 = 0; w0 <= m; ++w0) {
     Poly block;
     const std::size_t off = w0 * (d0 + 1);
-    for (u64 k = 0; k <= d0; ++k) block.c.push_back(proof.coeff(off + k));
+    for (u64 k = 0; k <= d0; ++k) block.c.push_back(p.coeff(off + k));
     block.trim();
     u64 total = 0;
     for (u64 r = 1; r <= rank_; ++r) {

@@ -92,22 +92,23 @@ std::unique_ptr<Evaluator> HammingDistributionProblem::make_evaluator(
 }
 
 std::vector<u64> HammingDistributionProblem::recover(
-    const Poly& proof, const PrimeField& f) const {
+    const ProofValues& proof) const {
+  const PrimeField& f = proof.field();
   const std::size_t n = a_.rows, t = a_.cols;
-  std::vector<u64> out(n * (t + 1));
-  // Scale factors prod_{l != h} (h - l) = (-1)^{t-h} h! (t-h)!.
-  std::vector<u64> fact(t + 2);
-  fact[0] = f.one();
-  for (std::size_t i = 1; i <= t + 1; ++i) {
+  // inv_scale[h] = 1 / prod_{l != h} (h - l) = (-1)^{t-h} / (h! (t-h)!).
+  std::vector<u64> fact(t + 1, f.one()), inv_scale(t + 1);
+  for (std::size_t i = 1; i <= t; ++i) {
     fact[i] = f.mul(fact[i - 1], f.reduce(i));
   }
+  for (std::size_t h = 0; h <= t; ++h) {
+    const u64 s = f.inv(f.mul(fact[h], fact[t - h]));
+    inv_scale[h] = (t - h) % 2 == 1 ? f.neg(s) : s;
+  }
+  std::vector<u64> out(n * (t + 1));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t h = 0; h <= t; ++h) {
-      const u64 point = (i + 1) * (t + 1) + h;
-      u64 scale = f.mul(fact[h], fact[t - h]);
-      if ((t - h) % 2 == 1) scale = f.neg(scale);
       out[i * (t + 1) + h] =
-          f.mul(poly_eval(proof, point, f), f.inv(scale));
+          f.mul(proof.at((i + 1) * (t + 1) + h), inv_scale[h]);
     }
   }
   return out;

@@ -85,11 +85,9 @@ std::unique_ptr<Evaluator> OrthogonalVectorsProblem::make_evaluator(
 }
 
 std::vector<u64> OrthogonalVectorsProblem::recover(
-    const Poly& proof, const PrimeField& f) const {
+    const ProofValues& proof) const {
   std::vector<u64> out(a_.rows);
-  for (std::size_t i = 0; i < a_.rows; ++i) {
-    out[i] = poly_eval(proof, i + 1, f);
-  }
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = proof.at(i + 1);
   return out;
 }
 

@@ -80,6 +80,41 @@ class Evaluator {
   PrimeField field_;
 };
 
+// The decoded, verified proof over one prime: its coefficients and the
+// corrected codeword the decoder re-encoded from them at the RS code
+// points 1..e, so values()[i] = P(i + 1). A view: both must outlive it.
+class ProofValues {
+ public:
+  ProofValues(const Poly& coeffs, std::span<const u64> values,
+              const PrimeField& f)
+      : coeffs_(coeffs), values_(values), field_(f) {}
+  ProofValues(Poly&&, std::span<const u64>, const PrimeField&) = delete;
+
+  const Poly& coeffs() const noexcept { return coeffs_; }
+  std::span<const u64> values() const noexcept { return values_; }
+  const PrimeField& field() const noexcept { return field_; }
+
+  // P(x): the constant coefficient at 0, a codeword symbol at 1..e, and
+  // Horner past e (only short codes, e.g. rate 1, leave points there).
+  u64 at(u64 x) const {
+    if (x == 0) return coeffs_.coeff(0);
+    if (x <= values_.size()) return values_[x - 1];
+    return poly_eval(coeffs_, x, field_);
+  }
+
+  // P(first) + ... + P(first + count - 1).
+  u64 sum(u64 first, u64 count) const {
+    u64 total = 0;
+    for (u64 i = 0; i < count; ++i) total = field_.add(total, at(first + i));
+    return total;
+  }
+
+ private:
+  const Poly& coeffs_;
+  std::span<const u64> values_;
+  PrimeField field_;
+};
+
 // A problem expressible in the Camelot framework.
 class CamelotProblem {
  public:
@@ -93,11 +128,11 @@ class CamelotProblem {
   virtual std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const = 0;
 
-  // Maps a decoded proof (coefficients of P mod q) to the residues of
-  // the integer answers modulo q. Must return spec().answer_count
-  // values. Called once per CRT prime; the framework combines.
-  virtual std::vector<u64> recover(const Poly& proof,
-                                   const PrimeField& f) const = 0;
+  // Maps the decoded, verified proof over one prime to the answers'
+  // residues mod q: values of P through proof.at / proof.sum (never raw
+  // received symbols), coefficients through proof.coeffs(). Returns
+  // spec().answer_count values; the framework combines primes by CRT.
+  virtual std::vector<u64> recover(const ProofValues& proof) const = 0;
 };
 
 }  // namespace camelot

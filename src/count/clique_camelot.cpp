@@ -109,14 +109,9 @@ std::unique_ptr<Evaluator> Form62Problem::make_evaluator(
   return std::make_unique<Form62Evaluator>(f, input_, dec_, t_, rank_);
 }
 
-std::vector<u64> Form62Problem::recover(const Poly& proof,
-                                        const PrimeField& f) const {
+std::vector<u64> Form62Problem::recover(const ProofValues& proof) const {
   // X(6,2) = sum_{r=1}^{R} P(r)  (Theorem 13).
-  u64 total = 0;
-  for (u64 r = 1; r <= rank_; ++r) {
-    total = f.add(total, poly_eval(proof, r, f));
-  }
-  return {total};
+  return {proof.sum(1, rank_)};
 }
 
 CliqueCountProblem::CliqueCountProblem(const Graph& g, std::size_t k,

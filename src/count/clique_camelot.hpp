@@ -34,8 +34,7 @@ class Form62Problem : public CamelotProblem {
   ProofSpec spec() const override;
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const ProofValues& proof) const override;
 
   u64 rank() const noexcept { return rank_; }  // R = R0^t
   unsigned kron_t() const noexcept { return t_; }
@@ -62,9 +61,8 @@ class CliqueCountProblem : public CamelotProblem {
       const FieldOps& f) const override {
     return inner_->make_evaluator(f);
   }
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
-    return inner_->recover(proof, f);
+  std::vector<u64> recover(const ProofValues& proof) const override {
+    return inner_->recover(proof);
   }
 
   u64 rank() const noexcept { return inner_->rank(); }

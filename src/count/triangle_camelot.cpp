@@ -106,13 +106,9 @@ std::unique_ptr<Evaluator> TriangleCountProblem::make_evaluator(
   return std::make_unique<TriangleEvaluator>(f, dec_, t_, ell_, entries_);
 }
 
-std::vector<u64> TriangleCountProblem::recover(const Poly& proof,
-                                               const PrimeField& f) const {
-  u64 total = 0;
-  for (u64 z = 1; z <= num_outer_; ++z) {
-    total = f.add(total, poly_eval(proof, z, f));
-  }
-  return {total};
+std::vector<u64> TriangleCountProblem::recover(
+    const ProofValues& proof) const {
+  return {proof.sum(1, num_outer_)};
 }
 
 BigInt TriangleCountProblem::triangles_from_answer(const BigInt& trace) {

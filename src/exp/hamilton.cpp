@@ -118,14 +118,8 @@ std::unique_ptr<Evaluator> HamiltonCycleProblem::make_evaluator(
   return std::make_unique<HamiltonEvaluator>(f, graph_, h1_, h2_);
 }
 
-std::vector<u64> HamiltonCycleProblem::recover(const Poly& proof,
-                                               const PrimeField& f) const {
-  const u64 big_m = u64{1} << h1_;
-  u64 total = 0;
-  for (u64 i = 0; i < big_m; ++i) {
-    total = f.add(total, poly_eval(proof, i, f));
-  }
-  return {total};
+std::vector<u64> HamiltonCycleProblem::recover(const ProofValues& proof) const {
+  return {proof.sum(0, u64{1} << h1_)};
 }
 
 BigInt HamiltonCycleProblem::undirected_from_answer(const BigInt& directed) {

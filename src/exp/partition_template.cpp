@@ -61,13 +61,13 @@ ProofSpec PartitionTemplateProblem::spec() const {
 }
 
 std::vector<u64> PartitionTemplateProblem::recover(
-    const Poly& proof, const PrimeField& f) const {
-  (void)f;
+    const ProofValues& proof) const {
   std::vector<u64> out;
   const u64 blocks = num_groups_ * t_values_.size();
   out.reserve(blocks);
   for (u64 b = 0; b < blocks; ++b) {
-    out.push_back(proof.coeff(b * (block_degree_ + 1) + answer_offset()));
+    out.push_back(
+        proof.coeffs().coeff(b * (block_degree_ + 1) + answer_offset()));
   }
   return out;
 }

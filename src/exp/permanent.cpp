@@ -120,14 +120,8 @@ std::unique_ptr<Evaluator> PermanentProblem::make_evaluator(
   return std::make_unique<PermanentEvaluator>(f, m_);
 }
 
-std::vector<u64> PermanentProblem::recover(const Poly& proof,
-                                           const PrimeField& f) const {
-  const u64 big_m = u64{1} << (m_.n / 2);
-  u64 total = 0;
-  for (u64 i = 0; i < big_m; ++i) {
-    total = f.add(total, poly_eval(proof, i, f));
-  }
-  return {total};
+std::vector<u64> PermanentProblem::recover(const ProofValues& proof) const {
+  return {proof.sum(0, u64{1} << (m_.n / 2))};
 }
 
 BigInt permanent_ryser(const IntMatrix& m) {

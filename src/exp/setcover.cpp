@@ -103,14 +103,8 @@ std::unique_ptr<Evaluator> SetCoverProblem::make_evaluator(
   return std::make_unique<SetCoverEvaluator>(f, n_, family_, t_);
 }
 
-std::vector<u64> SetCoverProblem::recover(const Poly& proof,
-                                          const PrimeField& f) const {
-  const u64 big_m = u64{1} << (n_ / 2);
-  u64 total = 0;
-  for (u64 i = 0; i < big_m; ++i) {
-    total = f.add(total, poly_eval(proof, i, f));
-  }
-  return {total};
+std::vector<u64> SetCoverProblem::recover(const ProofValues& proof) const {
+  return {proof.sum(0, u64{1} << (n_ / 2))};
 }
 
 BigInt count_set_covers_brute(std::size_t n, const std::vector<u64>& family,

@@ -2,6 +2,7 @@
 // transparent toy problem whose proof polynomial is fully known.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <random>
 
@@ -52,9 +53,8 @@ class ToyProblem : public CamelotProblem {
     return std::make_unique<Ev>(f, input_);
   }
 
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
-    return {poly_eval(proof, 1, f)};
+  std::vector<u64> recover(const ProofValues& proof) const override {
+    return {proof.at(1)};
   }
 
  private:
@@ -238,27 +238,44 @@ TEST(Verifier, AcceptsCorrectRejectsTampered) {
 }
 
 TEST(Verifier, SoundnessErrorMatchesDegreeOverQ) {
-  // Empirical soundness: a proof differing in one coefficient agrees
-  // with P at exactly deg(diff)<=d points, so a single-trial check
-  // accepts with probability <= d/q. Measure over many trials.
+  // A bad proof P + c * prod_{i=1}^{d} (x - i) agrees with P at exactly
+  // the d points 1..d, so one spot check accepts it with probability
+  // exactly d/q. Each seed drives one single-trial verification.
   auto input = toy_input(16, 6);
   ToyProblem problem(input);
   PrimeField f(257);
+  const std::size_t d = input.size() - 1;
   Poly proof;
   proof.c.assign(input.begin(), input.end());
   for (u64& c : proof.c) c = f.reduce(c);
-  Poly bad = proof;
-  bad.c[3] = f.add(bad.c[3], 7);
-  auto evaluator = problem.make_evaluator(f);
-  int accepted = 0;
-  const int trials = 2000;
-  std::mt19937_64 rng(11);
-  for (int t = 0; t < trials; ++t) {
-    u64 x0 = rng() % f.modulus();
-    if (evaluator->eval(x0) == poly_eval(bad, x0, f)) ++accepted;
+  Poly diff = Poly::constant(7, f);
+  for (u64 i = 1; i <= d; ++i) {
+    diff = poly_mul(diff, Poly::linear_root(i, f), f);
   }
-  // Expected acceptance rate: (#agreement points)/q <= 15/257 ~ 5.8%.
-  EXPECT_LT(accepted, trials * 15 / 257 + 50);
+  ASSERT_EQ(diff.degree(), static_cast<int>(d));
+  const Poly bad = poly_add(proof, diff, f);
+  auto evaluator = problem.make_evaluator(f);
+
+  // One-sided Chernoff bound on Binomial(trials, d/q):
+  //   P[X >= (1 + delta) mu] <= exp(-delta^2 mu / (2 + delta)).
+  // delta solves delta^2 mu = L (2 + delta) with L = ln(1e9), so a
+  // verifier that honours d/q trips this with probability below 1e-9.
+  const int trials = 4000;
+  const double mu = trials * static_cast<double>(d) / f.modulus();
+  const double l = std::log(1e9);
+  const double bound = mu + (l + std::sqrt(l * l + 8 * l * mu)) / 2;
+  int accepted = 0;
+  for (int seed = 0; seed < trials; ++seed) {
+    ASSERT_TRUE(verify_proof_with(*evaluator, proof, 1, seed).accepted)
+        << "honest proof rejected at seed " << seed;
+    if (verify_proof_with(*evaluator, bad, 1, seed).accepted) ++accepted;
+    // The count only grows, so the seed that crosses the bound is the
+    // one to replay.
+    ASSERT_LT(accepted, bound)
+        << "seed " << seed << ": " << accepted << " of " << seed + 1
+        << " single-trial checks (seeds 0.." << seed
+        << ") accepted; d/q predicts " << mu << " of " << trials;
+  }
 }
 
 TEST(RoundTable, RejectsDegenerateConfig) {

@@ -1,10 +1,14 @@
 // Cross-problem framework invariants: every CamelotProblem in the
 // library must (a) honour its declared degree bound, (b) produce a
-// proof that passes independent verification, and (c) behave correctly
-// at the exact unique-decoding radius boundary.
+// proof that passes independent verification, (c) read the same
+// answers from the decoded codeword at every code rate and on every
+// field backend, and (d) behave correctly at the exact unique-decoding
+// radius boundary.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
+#include <random>
 
 #include "apps/conv3sum.hpp"
 #include "apps/csp2.hpp"
@@ -26,6 +30,49 @@
 
 namespace camelot {
 namespace {
+
+constexpr FieldBackend kAllBackends[] = {
+    FieldBackend::kPrimeDivision, FieldBackend::kMontgomery,
+    FieldBackend::kMontgomeryAvx2, FieldBackend::kMontgomeryAvx512};
+
+TEST(ProofValues, AtAndSumMatchHornerOnEveryBackend) {
+  // at(x) is the constant coefficient at 0, a codeword symbol at 1..e
+  // and Horner past e; every case must equal poly_eval.
+  const std::size_t d = 40;
+  const u64 q = find_ntt_prime(1000, 8);
+  PrimeField f(q);
+  std::mt19937_64 rng(3);
+  Poly p;
+  p.c.resize(d + 1);
+  for (u64& c : p.c) c = 1 + rng() % (q - 1);
+  for (FieldBackend backend : kAllBackends) {
+    const FieldOps ops(f, backend);
+    for (std::size_t e : {d + 1, 2 * (d + 1)}) {
+      const ReedSolomonCode code(ops, d, e);
+      const GaoResult r = gao_decode(code, poly_eval_many(p, code.points(), f));
+      ASSERT_EQ(r.status, DecodeStatus::kOk);
+      const ProofValues values(r.message, r.corrected, f);
+      ASSERT_EQ(values.values().size(), e);
+      SCOPED_TRACE(::testing::Message()
+                   << "backend " << static_cast<int>(ops.backend())
+                   << " e=" << e);
+      for (u64 x = 0; x <= e + 5; ++x) {
+        EXPECT_EQ(values.at(x), poly_eval(p, x, f)) << "x=" << x;
+      }
+      EXPECT_EQ(values.at(q - 1), poly_eval(p, q - 1, f));
+      const std::pair<u64, u64> ranges[] = {
+          {0, e + 3}, {1, e}, {e - 2, 5}, {7, 0}};
+      for (auto [first, count] : ranges) {
+        u64 expect = 0;
+        for (u64 x = first; x < first + count; ++x) {
+          expect = f.add(expect, poly_eval(p, x, f));
+        }
+        EXPECT_EQ(values.sum(first, count), expect)
+            << "first=" << first << " count=" << count;
+      }
+    }
+  }
+}
 
 using ProblemFactory = std::function<std::unique_ptr<CamelotProblem>()>;
 
@@ -134,51 +181,123 @@ TEST_P(AllProblems, HonestProofVerifiesAndRecoverCountMatchesSpec) {
   Poly proof = code.interpolate_received(word);
   VerifyResult vr = verify_proof_with(*ev, proof, 2, 99);
   EXPECT_TRUE(vr.accepted) << all_problems()[GetParam()].label;
-  EXPECT_EQ(problem->recover(proof, f).size(), spec.answer_count);
+  // Clean word on the points 1..e: word[i] = P(i + 1).
+  EXPECT_EQ(problem->recover(ProofValues(proof, word, f)).size(),
+            spec.answer_count);
+}
+
+TEST_P(AllProblems, RecoverIsTheSameAtEveryRateAndBackend) {
+  // Rate 1 (e = d+1) leaves recovery points past e to the Horner
+  // fallback (hamming) and P(0) to the constant coefficient
+  // (permanent, setcover, hamilton); redundancy 2 reads them from the
+  // codeword. Both must equal an all-Horner read (empty codeword).
+  auto problem = all_problems()[GetParam()].make();
+  SCOPED_TRACE(all_problems()[GetParam()].label);
+  const ProofSpec spec = problem->spec();
+  const std::size_t d = spec.degree_bound;
+  const u64 q =
+      find_ntt_prime(std::max<u64>(spec.min_modulus, 2 * (d + 2)), 8);
+  PrimeField f(q);
+  std::vector<u64> reference;
+  for (FieldBackend backend : kAllBackends) {
+    const FieldOps ops(f, backend);
+    SCOPED_TRACE(::testing::Message()
+                 << "backend " << static_cast<int>(ops.backend()));
+    const ReedSolomonCode wide(ops, d, 2 * (d + 1));
+    const ReedSolomonCode rate1(ops, d, d + 1);
+    const std::vector<u64> word =
+        problem->make_evaluator(ops)->evaluate_points(wide.points());
+    // The decoder's output is what ProofSession hands to recover().
+    const GaoResult full = gao_decode(wide, word);
+    const GaoResult narrow =
+        gao_decode(rate1, std::span<const u64>(word).first(d + 1));
+    ASSERT_EQ(full.status, DecodeStatus::kOk);
+    ASSERT_EQ(narrow.status, DecodeStatus::kOk);
+    if (reference.empty()) {
+      reference = problem->recover(ProofValues(full.message, {}, f));
+      ASSERT_EQ(reference.size(), spec.answer_count);
+    }
+    EXPECT_EQ(problem->recover(ProofValues(full.message, full.corrected, f)),
+              reference)
+        << "redundancy 2";
+    EXPECT_EQ(
+        problem->recover(ProofValues(narrow.message, narrow.corrected, f)),
+        reference)
+        << "rate 1";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Catalog, AllProblems,
                          ::testing::Range<std::size_t>(0, 12));
 
 TEST(RadiusBoundary, ExactRadiusCorrectsOneMoreFails) {
-  // Symbol-granular boundary: exactly radius errors decode; one more
-  // random error must not produce a silently wrong *verified* proof.
+  // Symbol-granular boundary, on every field backend: exactly radius
+  // errors decode to the honest proof; past the radius the decode must
+  // fail cleanly (a decode failure, or a different proof that the
+  // random-point check rejects), never as a silently wrong *verified*
+  // proof, and every backend must reach the same outcome.
   OrthogonalVectorsProblem problem(BoolMatrix::random(6, 4, 0.4, 1),
                                    BoolMatrix::random(6, 4, 0.4, 2));
   const ProofSpec spec = problem.spec();
   const std::size_t e = 2 * (spec.degree_bound + 1);
   const u64 q = find_ntt_prime(std::max<u64>(spec.min_modulus, e + 1), 8);
   PrimeField f(q);
-  ReedSolomonCode code(f, spec.degree_bound, e);
+  const ReedSolomonCode reference(f, spec.degree_bound, e);
   auto ev = problem.make_evaluator(f);
-  std::vector<u64> clean(e);
-  for (std::size_t i = 0; i < e; ++i) clean[i] = ev->eval(code.points()[i]);
-  GaoResult base = gao_decode(code, clean);
-  ASSERT_EQ(base.status, DecodeStatus::kOk);
-  const Poly truth = base.message;
+  const std::vector<u64> clean = ev->evaluate_points(reference.points());
+  const Poly truth = reference.interpolate_received(clean);
+  const std::size_t radius = reference.decoding_radius();
 
+  // The clean word with its first `errors` symbols shifted by fixed
+  // random nonzero offsets.
   std::mt19937_64 rng(5);
-  const std::size_t radius = code.decoding_radius();
-  // Exactly radius errors: decoded message equals the honest proof.
-  auto word = clean;
-  for (std::size_t i = 0; i < radius; ++i) {
-    word[i] = f.add(word[i], 1 + rng() % (f.modulus() - 1));
-  }
-  GaoResult at_radius = gao_decode(code, word);
-  ASSERT_EQ(at_radius.status, DecodeStatus::kOk);
-  EXPECT_TRUE(poly_equal(at_radius.message, truth));
-  EXPECT_EQ(at_radius.error_locations.size(), radius);
+  std::vector<u64> offsets(radius + 2);
+  for (u64& o : offsets) o = 1 + rng() % (q - 1);
+  auto corrupt = [&](std::size_t errors) {
+    std::vector<u64> word = clean;
+    for (std::size_t i = 0; i < errors; ++i) {
+      word[i] = f.add(word[i], offsets[i]);
+    }
+    return word;
+  };
 
-  // radius + 1 errors: either decode failure, or the decoded proof
-  // differs and the random-point check rejects it.
-  word[radius] = f.add(word[radius], 17);
-  GaoResult beyond = gao_decode(code, word);
-  if (beyond.status == DecodeStatus::kOk &&
-      !poly_equal(beyond.message, truth)) {
-    VerifyResult vr = verify_proof_with(*ev, beyond.message, 6, 7);
-    EXPECT_FALSE(vr.accepted);
+  std::vector<GaoResult> first_backend;
+  for (FieldBackend backend : kAllBackends) {
+    const FieldOps ops(f, backend);
+    SCOPED_TRACE(::testing::Message()
+                 << "backend " << static_cast<int>(ops.backend()));
+    const ReedSolomonCode code(ops, spec.degree_bound, e);
+
+    const GaoResult at_radius = gao_decode(code, corrupt(radius));
+    ASSERT_EQ(at_radius.status, DecodeStatus::kOk);
+    EXPECT_TRUE(poly_equal(at_radius.message, truth));
+    EXPECT_EQ(at_radius.error_locations.size(), radius);
+
+    for (std::size_t extra : {1, 2}) {
+      SCOPED_TRACE(::testing::Message() << "radius + " << extra);
+      const GaoResult beyond = gao_decode(code, corrupt(radius + extra));
+      if (beyond.status == DecodeStatus::kOk &&
+          poly_equal(beyond.message, truth)) {
+        // Gao stops once deg G < floor((e + d + 1) / 2), which admits
+        // an error locator of degree ceil((e - d - 1) / 2). When
+        // e - d - 1 is odd and deg P < d, that corrects exactly one
+        // error past the radius — onto the honest proof, so nothing
+        // wrong is verified.
+        EXPECT_EQ(extra, 1u);
+        EXPECT_EQ((e - spec.degree_bound - 1) % 2, 1u);
+        EXPECT_LT(truth.degree(), static_cast<int>(spec.degree_bound));
+      } else if (beyond.status == DecodeStatus::kOk) {
+        EXPECT_FALSE(verify_proof_with(*ev, beyond.message, 6, 7).accepted);
+      }
+      if (first_backend.size() < extra) {
+        first_backend.push_back(beyond);
+      } else {
+        EXPECT_EQ(beyond.status, first_backend[extra - 1].status);
+        EXPECT_TRUE(
+            poly_equal(beyond.message, first_backend[extra - 1].message));
+      }
+    }
   }
-  SUCCEED();
 }
 
 TEST(RadiusBoundary, SilentNodesAreErasuresNotCatastrophes) {

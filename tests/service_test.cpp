@@ -220,9 +220,8 @@ class TaggedProblem final : public CamelotProblem {
     }
     return inner_->make_evaluator(f);
   }
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
-    return inner_->recover(proof, f);
+  std::vector<u64> recover(const ProofValues& proof) const override {
+    return inner_->recover(proof);
   }
 
  private:
@@ -297,9 +296,8 @@ class SlowProblem final : public CamelotProblem {
     return std::make_unique<SlowEvaluator>(inner_->make_evaluator(f),
                                            per_chunk_, f);
   }
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
-    return inner_->recover(proof, f);
+  std::vector<u64> recover(const ProofValues& proof) const override {
+    return inner_->recover(proof);
   }
 
  private:
@@ -400,9 +398,8 @@ class ThrowingProblem final : public CamelotProblem {
   std::unique_ptr<Evaluator> make_evaluator(const FieldOps&) const override {
     throw std::runtime_error("ThrowingProblem: evaluator construction");
   }
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
-    return inner_->recover(proof, f);
+  std::vector<u64> recover(const ProofValues& proof) const override {
+    return inner_->recover(proof);
   }
 
  private:

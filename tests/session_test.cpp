@@ -1,7 +1,8 @@
 // Tests for the staged ProofSession API: golden equivalence of the
 // overlapped run() against the run_barrier() reference across the four
 // src/apps problems, stage mechanics, selective per-prime re-runs under
-// byzantine corruption, cancellation, backend selection and FieldCache
+// byzantine corruption, answers read from the decoded codeword (never
+// the received word), cancellation, backend selection and FieldCache
 // reuse.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,9 @@
 #include "core/proof_session.hpp"
 #include "core/rng.hpp"
 #include "core/symbol_stream.hpp"
+#include "count/clique_camelot.hpp"
+#include "count/triangle_camelot.hpp"
+#include "graph/generators.hpp"
 #include "linalg/tensor.hpp"
 
 namespace camelot {
@@ -411,6 +415,45 @@ TEST(ProofSession, CorruptedMessageAndParityChunksBothRecover) {
   for (std::size_t pi = 0; pi < s.num_primes(); ++pi) {
     EXPECT_EQ(rerun.per_prime[pi].answer_residues,
               corrupted.per_prime[pi].answer_residues);
+  }
+}
+
+TEST(ProofSession, CorruptedFirstSymbolNeverReachesTheAnswers) {
+  // Codeword position 0 carries P(1), a recovery point of OV, triangle
+  // and Form62. Answers are read from the decoded codeword, not from
+  // the received word, so the corrupted symbol must decode away and
+  // every residue must equal the clean run's.
+  std::vector<std::unique_ptr<CamelotProblem>> problems;
+  problems.push_back(make_app_problem(0).problem);
+  problems.push_back(std::make_unique<TriangleCountProblem>(
+      gnm(10, 20, 2), strassen_decomposition()));
+  problems.push_back(std::make_unique<CliqueCountProblem>(
+      gnp(6, 0.6, 1), 6, strassen_decomposition()));
+  const ClusterConfig cfg = small_config();
+  FlipChannel flip({0});
+  for (const auto& problem : problems) {
+    SCOPED_TRACE(problem->name());
+    const RunReport clean = ProofSession(*problem, cfg).run();
+    ASSERT_TRUE(clean.success);
+
+    ProofSession s(*problem, cfg);
+    s.prepare();
+    for (std::size_t pi = 0; pi < s.num_primes(); ++pi) {
+      s.transport_prime(pi, flip);
+      ASSERT_NE(s.received(pi)[0], s.sent(pi)[0]);
+    }
+    s.decode().verify().recover();
+    const RunReport corrupted = s.report();
+    ASSERT_TRUE(corrupted.success);
+    EXPECT_EQ(corrupted.answers, clean.answers);
+    ASSERT_EQ(corrupted.per_prime.size(), clean.per_prime.size());
+    for (std::size_t pi = 0; pi < clean.per_prime.size(); ++pi) {
+      EXPECT_EQ(corrupted.per_prime[pi].corrected_symbols,
+                (std::vector<std::size_t>{0}));
+      EXPECT_EQ(corrupted.per_prime[pi].answer_residues,
+                clean.per_prime[pi].answer_residues)
+          << "prime " << pi;
+    }
   }
 }
 
